@@ -335,7 +335,7 @@ def _letter_products(pres: HopfPresentation, max_len: int):
     return out
 
 
-def check_hopf_axioms(alg, max_len: int, table) -> "HopfReport":
+def check_hopf_axioms(alg, max_len: int, table) -> CheckReport:
     """Coassociativity, counit and antipode laws, and the homomorphism
     property of the coproduct, on all letter products up to max_len."""
     if max_len < 1:

@@ -2,10 +2,10 @@
 
 Words reduce to a unique normal form by repeatedly rewriting adjacent
 out-of-order letter pairs with the table rules.  Every rule either swaps
-the pair (dropping one inversion) or emits terms with strictly fewer
-operator-sector letters, so the measure
+the pair (dropping one inversion) or emits terms that have fewer
+operator-sector letters, or as many and fewer letters, so the measure
 
-    (#operator letters, #inversions, letter count)
+    (#operator letters, letter count, #inversions)
 
 decreases lexicographically at each step and reduction terminates.
 Results are strategy-independent whenever the table is locally confluent,

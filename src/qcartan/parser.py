@@ -117,6 +117,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _fraction(value: str, pos: int) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {value!r}", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -194,7 +201,7 @@ class _Parser:
         if kind != "number":
             raise ParseError("expected an exponent", pos)
         self.next()
-        exp = sign * Fraction(value)
+        exp = sign * _fraction(value, pos)
         if isinstance(atom, QPow):
             half = exp * 2
             if half.denominator != 1:
@@ -207,7 +214,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, pos = self.next()
         if kind == "number":
-            return Num(Fraction(value))
+            return Num(_fraction(value, pos))
         if kind == "name":
             if value == "q":
                 return QPow(2)

@@ -7,6 +7,10 @@ coordinate, differential, one-form, partial-derivative, Lie-generator,
 inner-derivation and Lie-derivative sectors, the derived rules for the
 inverse of x, and the group-like K = q**Tx commuting with the Lie sector.
 
+The packaged file rq3.rel is the single source of the builtin table:
+:func:`builtin_presentation` loads it, so editing that file changes the
+builtin.  Each rule there carries its `# <table> <origin>` provenance.
+
 File format (one rule per line, '#' comments):
 
     <letter> . <letter> -> <element>
@@ -20,8 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from importlib.resources import files
 
-from .scalars import ONE, QScalar, parse_scalar
+from .scalars import ONE, parse_scalar
 from .words import (
     EMPTY_WORD,
     Element,
@@ -174,297 +179,16 @@ def _has_inversion(word: Word) -> bool:
 # ---------------------------------------------------------------------------
 # builtin presentation
 
-# Rules are written exactly as the calculus states them, oriented so the
-# left side is the out-of-order pair.  Three quadratic coordinate relations:
-_COORD = """
-y . x -> (q^-1) x . y
-z . y -> (q^-1) y . z
-z . x -> (q^-1) x . z
-"""
-
-# coordinates past differentials
-_COORD_DIFF = """
-x . dx -> dx . x
-x . dy -> (q) dy . x
-x . dz -> (q) dz . x
-y . dx -> (q^-1) dx . y
-y . dy -> dy . y
-y . dz -> (q) dz . y
-z . dx -> (q^-1) dx . z
-z . dy -> (q^-1) dy . z
-z . dz -> dz . z
-"""
-
-# wedge relations between the differentials (squares vanish structurally)
-_DIFF_DIFF = """
-dy . dx -> (-q^-1) dx . dy
-dz . dy -> (-q^-1) dy . dz
-dz . dx -> (-q^-1) dx . dz
-"""
-
-# partial derivatives past coordinates
-_COORD_PARTIAL = """
-px . x -> 1 + x . px
-px . y -> (q^-1) y . px
-px . z -> (q^-1) z . px
-py . x -> (q) x . py
-py . y -> 1 + y . py
-py . z -> (q^-1) z . py
-pz . x -> (q) x . pz
-pz . y -> (q) y . pz
-pz . z -> 1 + z . pz
-"""
-
-# partials among themselves (forced by d**2 = 0)
-_PARTIAL_PARTIAL = """
-py . px -> (q^-1) px . py
-pz . px -> (q^-1) px . pz
-pz . py -> (q^-1) py . pz
-"""
-
-# partial derivatives past differentials
-_PARTIAL_DIFF = """
-px . dx -> dx . px
-px . dy -> (q^-1) dy . px
-px . dz -> (q^-1) dz . px
-py . dx -> (q) dx . py
-py . dy -> dy . py
-py . dz -> (q^-1) dz . py
-pz . dx -> (q) dx . pz
-pz . dy -> (q) dy . pz
-pz . dz -> dz . pz
-"""
-
-# coordinates past the Cartan-Maurer one-forms
-_OMEGA_COORD = """
-x . wx -> wx . x
-x . wy -> (q) wy . x
-x . wz -> (q) wz . x
-y . wx -> wx . y
-y . wy -> (q) wy . y
-y . wz -> (q) wz . y
-z . wx -> wx . z
-z . wy -> wy . z
-z . wz -> wz . z
-"""
-
-# wedge relations among the one-forms
-_OMEGA_OMEGA = """
-wy . wx -> (-1) wx . wy
-wz . wy -> (-1) wy . wz
-wz . wx -> (-1) wx . wz
-"""
-
-# Lie generators past coordinates
-_T_COORD = """
-Tx . x -> x + x . Tx
-Tx . y -> y + y . Tx
-Tx . z -> z . Tx
-Ty . x -> (q) x . Ty
-Ty . y -> x + (q) y . Ty
-Ty . z -> z . Ty
-Tz . x -> (q) x . Tz
-Tz . y -> (q) y . Tz
-Tz . z -> 1 + z . Tz
-"""
-
-# the undeformed Lie algebra: generators commute
-_T_T = """
-Ty . Tx -> Tx . Ty
-Tz . Tx -> Tx . Tz
-Tz . Ty -> Ty . Tz
-"""
-
-# Lie generators past differentials
-_T_DIFF = """
-Tx . dx -> dx . Tx
-Tx . dy -> dy . Tx
-Tx . dz -> dz . Tx
-Ty . dx -> (q) dx . Ty
-Ty . dy -> (q) dy . Ty
-Ty . dz -> dz . Ty
-Tz . dx -> (q) dx . Tz
-Tz . dy -> (q) dy . Tz
-Tz . dz -> dz . Tz
-"""
-
-# Lie generators past one-forms
-_T_OMEGA = """
-Tx . wx -> wx . Tx - wx
-Tx . wy -> wy . Tx - wy
-Tx . wz -> wz . Tx
-Ty . wx -> wx . Ty
-Ty . wy -> wy . Ty - wx
-Ty . wz -> wz . Ty
-Tz . wx -> wx . Tz
-Tz . wy -> wy . Tz
-Tz . wz -> wz . Tz
-"""
-
-# inner derivations past coordinates
-_INNER_COORD = """
-ix . x -> x . ix
-ix . y -> (q^-1) y . ix
-ix . z -> (q^-1) z . ix
-iy . x -> (q) x . iy
-iy . y -> y . iy
-iy . z -> (q^-1) z . iy
-iz . x -> (q) x . iz
-iz . y -> (q) y . iz
-iz . z -> z . iz
-"""
-
-# inner derivations past partial derivatives
-_INNER_PARTIAL = """
-ix . px -> px . ix
-ix . py -> (q) py . ix
-ix . pz -> (q) pz . ix
-iy . px -> (q^-1) px . iy
-iy . py -> py . iy
-iy . pz -> (q) pz . iy
-iz . px -> (q^-1) px . iz
-iz . py -> (q^-1) py . iz
-iz . pz -> pz . iz
-"""
-
-# inner derivations past differentials (the contraction data)
-_INNER_DIFF = """
-ix . dx -> 1 - dx . ix
-ix . dy -> (-q^-1) dy . ix
-ix . dz -> (-q^-1) dz . ix
-iy . dx -> (-q) dx . iy
-iy . dy -> 1 - dy . iy
-iy . dz -> (-q^-1) dz . iy
-iz . dx -> (-q) dx . iz
-iz . dy -> (-q) dy . iz
-iz . dz -> 1 - dz . iz
-"""
-
-# inner derivations among themselves
-_INNER_INNER = """
-iy . ix -> (-q^-1) ix . iy
-iz . ix -> (-q^-1) ix . iz
-iz . iy -> (-q^-1) iy . iz
-"""
-
-# Lie derivatives past coordinates
-_LIE_COORD = """
-Lx . x -> 1 + x . Lx
-Lx . y -> (q^-1) y . Lx
-Lx . z -> (q^-1) z . Lx
-Ly . x -> (q) x . Ly
-Ly . y -> 1 + y . Ly
-Ly . z -> (q^-1) z . Ly
-Lz . x -> (q) x . Lz
-Lz . y -> (q) y . Lz
-Lz . z -> 1 + z . Lz
-"""
-
-# Lie derivatives past differentials
-_LIE_DIFF = """
-Lx . dx -> dx . Lx
-Lx . dy -> (q^-1) dy . Lx
-Lx . dz -> (q^-1) dz . Lx
-Ly . dx -> (q) dx . Ly
-Ly . dy -> dy . Ly
-Ly . dz -> (q^-1) dz . Ly
-Lz . dx -> (q) dx . Lz
-Lz . dy -> (q) dy . Lz
-Lz . dz -> dz . Lz
-"""
-
-# Lie derivatives past partial derivatives
-_LIE_PARTIAL = """
-Lx . px -> px . Lx
-Lx . py -> (q) py . Lx
-Lx . pz -> (q) pz . Lx
-Ly . px -> (q^-1) px . Ly
-Ly . py -> py . Ly
-Ly . pz -> (q) pz . Ly
-Lz . px -> (q^-1) px . Lz
-Lz . py -> (q^-1) py . Lz
-Lz . pz -> pz . Lz
-"""
-
-# Lie derivatives past inner derivations
-_LIE_INNER = """
-Lx . ix -> ix . Lx
-Lx . iy -> (q) iy . Lx
-Lx . iz -> (q) iz . Lx
-Ly . ix -> (q^-1) ix . Ly
-Ly . iy -> iy . Ly
-Ly . iz -> (q) iz . Ly
-Lz . ix -> (q^-1) ix . Lz
-Lz . iy -> (q^-1) iy . Lz
-Lz . iz -> iz . Lz
-"""
-
-# Lie derivatives among themselves
-_LIE_LIE = """
-Ly . Lx -> (q^-1) Lx . Ly
-Lz . Lx -> (q^-1) Lx . Lz
-Lz . Ly -> (q^-1) Ly . Lz
-"""
-
-# K = q**Tx commutes with the whole Lie sector ([Tx, T] = 0), so any
-# function of Tx does; K never meets coordinates or forms.
-_GROUPLIKE = """
-K . Tx -> Tx . K
-K . Ty -> Ty . K
-K . Tz -> Tz . K
-Kinv . Tx -> Tx . Kinv
-Kinv . Ty -> Ty . Kinv
-Kinv . Tz -> Tz . Kinv
-"""
-
-_PAPER_BLOCKS = [
-    ("coord", _COORD),
-    ("coord_diff", _COORD_DIFF),
-    ("diff_diff", _DIFF_DIFF),
-    ("coord_partial", _COORD_PARTIAL),
-    ("partial_partial", _PARTIAL_PARTIAL),
-    ("partial_diff", _PARTIAL_DIFF),
-    ("omega_coord", _OMEGA_COORD),
-    ("omega_omega", _OMEGA_OMEGA),
-    ("t_coord", _T_COORD),
-    ("t_t", _T_T),
-    ("t_diff", _T_DIFF),
-    ("t_omega", _T_OMEGA),
-    ("inner_coord", _INNER_COORD),
-    ("inner_partial", _INNER_PARTIAL),
-    ("inner_diff", _INNER_DIFF),
-    ("inner_inner", _INNER_INNER),
-    ("lie_coord", _LIE_COORD),
-    ("lie_diff", _LIE_DIFF),
-    ("lie_partial", _LIE_PARTIAL),
-    ("lie_inner", _LIE_INNER),
-    ("lie_lie", _LIE_LIE),
-]
-
-_X = None
-_XINV = None
 _builtin = None
 
 
 def builtin_presentation() -> RelationTable:
-    """The full builtin rule set, including the derived x**-1 rules."""
+    """The full builtin rule set, loaded from the packaged rq3.rel."""
     global _builtin
     if _builtin is None:
-        rules = []
-        for table_id, block in _PAPER_BLOCKS:
-            for left, right, rhs in _parse_block(block):
-                rules.append(Rule(left, right, rhs, table_id, "paper"))
-        rules.extend(_derive_inverse_rules(rules))
-        for left, right, rhs in _parse_block(_GROUPLIKE):
-            rules.append(Rule(left, right, rhs, "grouplike", "derived"))
-        _builtin = RelationTable(rules)
+        text = files("qcartan").joinpath("rq3.rel").read_text(encoding="utf-8")
+        _builtin = load_presentation(text)
     return _builtin
-
-
-def _parse_block(block: str):
-    for line in block.strip().splitlines():
-        left, right, rhs, _ = _parse_rule_line(line, line_no=None)
-        yield left, right, rhs
 
 
 def _derive_inverse_rules(paper_rules):
@@ -473,7 +197,8 @@ def _derive_inverse_rules(paper_rules):
     From G . x -> a x G + R follows G . xinv -> a^-1 xinv G - a^-1 xinv R xinv,
     and from x . H -> b H x (all such rules are homogeneous) follows
     xinv . H -> b^-1 H xinv.  Remainders close under power merging alone,
-    so no normalization pass is needed here.
+    so no normalization pass is needed here.  The `derived` x**-1 rules in
+    rq3.rel are checked against this derivation.
     """
     x = generator("x")
     xinv = generator("xinv")
@@ -576,17 +301,14 @@ def _parse_element_text(text: str, line_no=None) -> Element:
             raise RelationError(f"bad element term {chunk!r}", line_no)
         scalar_text = m.group("scalar")
         word_text = m.group("word").strip()
-        if scalar_text is not None:
-            try:
-                coeff = parse_scalar(scalar_text)
-            except ValueError as exc:
-                raise RelationError(str(exc), line_no) from None
-        elif re.fullmatch(r"\d+(/\d+)?", word_text):
-            coeff, word_text = parse_scalar(word_text), ""
-        else:
-            coeff = ONE
+        if scalar_text is None and re.fullmatch(r"\d+(/\d+)?", word_text):
+            scalar_text, word_text = word_text, ""
+        try:
+            coeff = ONE if scalar_text is None else parse_scalar(scalar_text)
+        except ValueError as exc:
+            raise RelationError(str(exc), line_no) from None
         word = _parse_word_text(word_text, line_no) if word_text else EMPTY_WORD
-        total = total + Element.from_word(word, coeff * QScalar.rational(sign))
+        total = total + Element.from_word(word, coeff if sign > 0 else -coeff)
     return total
 
 

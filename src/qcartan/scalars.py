@@ -299,7 +299,10 @@ def parse_scalar(text: str) -> QScalar:
         m = _MONOMIAL_RE.fullmatch(chunk)
         if m is None or (m.group("coeff") is None and "q" not in chunk):
             raise ValueError(f"bad scalar syntax: {chunk.strip()!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {chunk.strip()!r}") from None
         exp = m.group("exp")
         if "q" not in chunk:
             half = 0
@@ -309,7 +312,7 @@ def parse_scalar(text: str) -> QScalar:
             half = int(exp[:-2])
         else:
             half = 2 * int(exp)
-        total = total + QScalar._raw({half: sign * coeff})
+        total = total + QScalar({half: sign * coeff})
     return total
 
 

@@ -74,10 +74,18 @@ def test_missing_rule_diagnostic(capsys):
     assert "wx" in err and "dx" in err
 
 
-def test_parse_error_exits_nonzero(capsys):
-    code, _, err = run(capsys, "normalize", "y**x")
-    assert code == 2
-    assert "error" in err
+def test_parse_error_exits_nonzero(capsys, tmp_path):
+    table = tmp_path / "zero.rel"
+    table.write_text("y . x -> (1/0) x . y\n", encoding="utf-8")
+    for argv in (("normalize", "y**x"),
+                 ("normalize", "1/0"),
+                 ("normalize", "x^1/0"),
+                 ("normalize", "q^1/0*x"),
+                 ("pair", "X", "1/0"),
+                 ("normalize", "y*x", "--table", str(table))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: "), argv
 
 
 def test_check_identification_text(capsys):

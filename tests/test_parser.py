@@ -78,6 +78,10 @@ def test_bad_exponents_rejected():
         parse_element("y^-1")
     with pytest.raises(ParseError, match="exponent"):
         parse("x^")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse("x^1/0")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse("q^1/0*x")
 
 
 def test_unbalanced_parens_rejected():

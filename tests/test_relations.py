@@ -5,6 +5,7 @@ import pytest
 from qcartan.parser import parse_element
 from qcartan.relations import (
     RelationError,
+    _derive_inverse_rules,
     format_presentation,
     load_presentation,
 )
@@ -81,9 +82,42 @@ def test_round_trip_preserves_provenance(table):
 
 
 def test_shipped_file_in_sync(table):
+    # the builtin is loaded from this file; it must stay in canonical form
     text = REL_FILE.read_text(encoding="utf-8")
     assert text == format_presentation(table)
     assert load_presentation(text) == table
+
+
+def _derived_inverse_mismatches(text):
+    """Pairs whose `derived` x**-1 rule in a relation file differs from
+    the derivation out of the file's `paper` rules."""
+    t = load_presentation(text)
+
+    def by_pair(rules):
+        return {(r.left.name, r.right.name): (r.rhs, r.table_id) for r in rules}
+
+    expected = by_pair(_derive_inverse_rules(
+        [r for r in t.rules if r.origin == "paper"]))
+    actual = by_pair(
+        r for r in t.rules
+        if r.origin == "derived" and "xinv" in (r.left.name, r.right.name)
+    )
+    assert len(actual) == 20
+    return sorted(k for k in expected.keys() | actual.keys()
+                  if expected.get(k) != actual.get(k))
+
+
+def test_shipped_derived_rules_match_derivation():
+    text = REL_FILE.read_text(encoding="utf-8")
+    assert _derived_inverse_mismatches(text) == []
+
+
+def test_derived_rule_check_catches_flipped_coefficient():
+    text = REL_FILE.read_text(encoding="utf-8")
+    line = "y . xinv -> (q) x^-1 . y  # coord derived"
+    assert line in text
+    flipped = text.replace(line, line.replace("(q)", "(q^-1)"))
+    assert _derived_inverse_mismatches(flipped) == [("y", "xinv")]
 
 
 def test_load_single_rule():
@@ -123,11 +157,22 @@ def test_parse_error_carries_line_number():
     text = "# header\ny . x -> (q^-1) x . y\nbogus line\n"
     with pytest.raises(RelationError, match="line 3"):
         load_presentation(text)
+    for bad in ("z . y -> (1/0) y . z", "px . x -> x . px + 1/0"):
+        text = f"# header\ny . x -> (q^-1) x . y\n{bad}\n"
+        with pytest.raises(RelationError, match="line 3: zero denominator"):
+            load_presentation(text)
 
 
 def test_missing_swap_term_rejected():
     with pytest.raises(RelationError, match="leading term"):
         load_presentation("y . x -> 1")
+
+
+def test_zero_coefficient_rule_rejected():
+    with pytest.raises(RelationError, match="empty right-hand side"):
+        load_presentation("y . x -> (0*q) x . y")
+    with pytest.raises(RelationError, match="leading term"):
+        load_presentation("px . x -> 1 + (0) x . px")
 
 
 def test_comments_and_blank_lines_ignored():

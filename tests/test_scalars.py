@@ -22,6 +22,9 @@ def test_zero_is_empty_map():
     assert (Q - Q).is_zero()
     assert QScalar.rational(0) == QScalar.zero()
     assert not QScalar.zero()
+    for text in ("0", "0*q", "q - q"):
+        assert parse_scalar(text) == QScalar.zero(), text
+        assert parse_scalar(text)._terms == {}, text
 
 
 def test_rational_coefficients():
