@@ -75,6 +75,16 @@ def _nonzero_rational(text: str) -> Fraction:
     return value
 
 
+def _max_degree(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("max_degree must be at least 1")
+    return value
+
+
 # --- check suites ----------------------------------------------------------
 
 def _rows(report) -> list[tuple[str, bool, str]]:
@@ -308,7 +318,7 @@ def build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_max_degree, default=3)
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomized confluence strategy")
     p.add_argument("--format", choices=("text", "json-lines"), default="text")

@@ -10,6 +10,16 @@ operator-sector letters, or as many and fewer letters, so the measure
 decreases lexicographically at each step and reduction terminates.
 Results are strategy-independent whenever the table is locally confluent,
 which :func:`check_local_confluence` sweeps for exhaustively.
+
+The kernel works on integer letter codes (:attr:`Word.codes`).  An
+out-of-order pair is an index i with codes[i] > codes[i+1]; one rewrite
+step looks the pair up in the table's compiled rules (each right-hand
+side stored once as ((codes, coeff), ...)), splices
+codes[:i] + mid + codes[i+2:] for every term, and brings the result to
+canonical form with :func:`~qcartan.words.canonical_codes`, which cancels
+x/xinv and K/Kinv and drops wedge squares.  Coefficients are QScalars
+whose integral coefficients are ints, so the +-q**k rule coefficients
+multiply as machine integers.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .scalars import ONE, QScalar
-from .words import Element, Word, make_word, signed_letter
+from .words import LETTERS, Element, Word, canonical_codes, make_word
 
 
 class MissingRuleError(Exception):
@@ -39,37 +49,26 @@ class MissingRuleError(Exception):
         )
 
 
-def _positions(factors):
-    """Indices i where factors[i], factors[i+1] are out of normal order."""
-    out = []
-    prev = None
-    for i, (g, e) in enumerate(factors):
-        pos = signed_letter(g, e).position
-        if prev is not None and prev > pos:
-            out.append(i - 1)
-        prev = pos
-    return out
+def _positions(codes):
+    """Indices i where codes[i], codes[i+1] are out of normal order."""
+    return [i for i in range(len(codes) - 1) if codes[i] > codes[i + 1]]
 
 
-def _rewrite_at(factors, i, table):
-    """Apply the table rule at the factor boundary (i, i+1).
+def _rewrite_at(codes, i, table):
+    """Apply the table rule to the letter pair at codes[i], codes[i+1].
 
-    Returns a list of (new_factors_or_None, QScalar) replacement terms.
+    Returns a list of (Word or None, QScalar) replacement terms, in the
+    rule's term order; None marks a term that vanished.
     """
-    g, a = factors[i]
-    h, b = factors[i + 1]
-    u = signed_letter(g, a)
-    v = signed_letter(h, b)
-    rhs = table.rewrite(u, v)
+    a, b = codes[i], codes[i + 1]
+    rhs = table.compiled.get((a, b))
     if rhs is None:
-        raise MissingRuleError(u, v)
-    s = 1 if a > 0 else -1
-    t = 1 if b > 0 else -1
-    left = factors[:i] if a == s else factors[:i] + ((g, a - s),)
-    right = factors[i + 2:] if b == t else ((h, b - t),) + factors[i + 2:]
+        raise MissingRuleError(LETTERS[a], LETTERS[b])
+    left, right = codes[:i], codes[i + 2:]
     out = []
-    for w, c in rhs.terms():
-        out.append((make_word(left + w.factors + right), c))
+    for mid, c in rhs:
+        new = canonical_codes(left + mid + right)
+        out.append((None if new is None else Word(new), c))
     return out
 
 
@@ -109,14 +108,14 @@ def _normal_form(word: Word, table, cache: dict, pick, rng) -> dict:
             continue
         children = pending.get(cur)
         if children is None:
-            positions = _positions(cur.factors)
+            positions = _positions(cur.codes)
             if not positions:
                 cache[cur] = {cur: ONE}
                 stack.pop()
                 continue
             i = pick(cur, positions, rng)
             children = [
-                (w, c) for w, c in _rewrite_at(cur.factors, i, table)
+                (w, c) for w, c in _rewrite_at(cur.codes, i, table)
                 if w is not None
             ]
             pending[cur] = children
@@ -200,7 +199,7 @@ def normalize_report(
     steps = 0
     while agenda:
         w, c = agenda.pop()
-        positions = _positions(w.factors)
+        positions = _positions(w.codes)
         if not positions:
             prev = done.get(w)
             s = c if prev is None else prev + c
@@ -211,7 +210,7 @@ def normalize_report(
             continue
         steps += 1
         i = pick(w, positions, rng)
-        for nw, nc in _rewrite_at(w.factors, i, table):
+        for nw, nc in _rewrite_at(w.codes, i, table):
             if nw is not None:
                 agenda.append((nw, c * nc))
     return NormalizationReport(e, Element._raw(done), steps, strategy)

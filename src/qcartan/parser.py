@@ -280,7 +280,7 @@ def to_element(e: Expr) -> Element:
     if isinstance(e, Num):
         return Element.scalar(QScalar.rational(e.value))
     if isinstance(e, QPow):
-        return Element.scalar(QScalar._raw({e.halves: Fraction(1)}))
+        return Element.scalar(QScalar._raw({e.halves: 1}))
     if isinstance(e, Gen):
         return Element.from_letter(e.name)
     if isinstance(e, Pow):

@@ -23,19 +23,20 @@ constant term and the scalar `(1)` may be omitted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.resources import files
 
+from .normalizer import _positions
 from .scalars import ONE, parse_scalar
 from .words import (
     EMPTY_WORD,
+    LETTERS,
     Element,
     Generator,
     Sector,
     Word,
     generator,
     make_word,
-    signed_letter,
 )
 
 _OP_SECTORS = (Sector.PARTIAL, Sector.LIE, Sector.GROUPLIKE,
@@ -59,6 +60,8 @@ class Rule:
     rhs: Element
     table_id: str
     origin: str  # "paper" | "derived" | "user"
+    # the line of the relation file the rule came from; not part of identity
+    line: int | None = field(default=None, compare=False)
 
     def lhs_word(self) -> Word:
         w = make_word([(self.left, 1), (self.right, 1)])
@@ -69,8 +72,11 @@ class Rule:
         return f"{self.left.name} . {self.right.name} -> {_format_element(self.rhs)}"
 
 
+_OP_CODES = frozenset(g.position for g in LETTERS if g.sector in _OP_SECTORS)
+
+
 def _op_count(word: Word) -> int:
-    return sum(abs(e) for g, e in word.factors if g.sector in _OP_SECTORS)
+    return sum(c in _OP_CODES for c in word.codes)
 
 
 class RelationTable:
@@ -78,6 +84,10 @@ class RelationTable:
 
     Equality compares the pair -> right-hand-side map (provenance notes
     are carried along but do not affect identity).
+
+    `compiled` maps each rule's pair of letter codes (positions) to its
+    right-hand side as ((codes, coeff), ...), in the rule's term order;
+    the rewrite kernel reads it in place of :meth:`rewrite`.
     """
 
     def __init__(self, rules):
@@ -87,13 +97,18 @@ class RelationTable:
             key = (rule.left.position, rule.right.position)
             if key in by_pair:
                 raise RelationError(
-                    f"duplicate rule for pair {rule.left.name} . {rule.right.name}"
+                    f"duplicate rule for pair {rule.left.name} . {rule.right.name}",
+                    rule.line,
                 )
             _validate_rule(rule)
             by_pair[key] = rule
         self.rules = tuple(
             by_pair[k] for k in sorted(by_pair)
         )
+        self.compiled = {
+            key: tuple((w.codes, c) for w, c in rule.rhs.terms())
+            for key, rule in by_pair.items()
+        }
         self._by_pair = by_pair
         self._caches: dict[str, dict] = {}
 
@@ -140,40 +155,41 @@ def _validate_rule(rule: Rule):
     pair = f"{left.name} . {right.name}"
     if left.position <= right.position:
         raise RelationError(
-            f"rule {pair} is oriented the wrong way: left side already in normal order"
+            f"rule {pair} is oriented the wrong way: left side already in normal order",
+            rule.line,
         )
     if rule.rhs.is_zero():
-        raise RelationError(f"rule {pair} has an empty right-hand side")
+        raise RelationError(f"rule {pair} has an empty right-hand side", rule.line)
     lhs_degree = left.form_degree + right.form_degree
     for w in rule.rhs._terms:
         if w.form_degree() != lhs_degree:
             raise RelationError(
                 f"rule {pair}: form degree {w.form_degree()} of term {w} "
-                f"differs from {lhs_degree}"
+                f"differs from {lhs_degree}",
+                rule.line,
             )
     swap = make_word([(right, 1), (left, 1)])
     if swap is None or swap not in rule.rhs._terms:
-        raise RelationError(f"rule {pair}: leading term must be the swapped pair")
+        raise RelationError(
+            f"rule {pair}: leading term must be the swapped pair", rule.line
+        )
     lhs_ops = _op_count(rule.lhs_word())
     for w in rule.rhs._terms:
         if w == swap:
             continue
         if (_op_count(w), len(w)) >= (lhs_ops, 2):
             raise RelationError(
-                f"rule {pair}: term {w} does not decrease the rewrite measure"
+                f"rule {pair}: term {w} does not decrease the rewrite measure",
+                rule.line,
             )
         if _has_inversion(w):
-            raise RelationError(f"rule {pair}: term {w} is not normal ordered")
+            raise RelationError(
+                f"rule {pair}: term {w} is not normal ordered", rule.line
+            )
 
 
 def _has_inversion(word: Word) -> bool:
-    prev = None
-    for g, e in word.factors:
-        pos = signed_letter(g, e).position
-        if prev is not None and prev > pos:
-            return True
-        prev = pos
-    return False
+    return bool(_positions(word.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +378,7 @@ def load_presentation(text: str) -> RelationTable:
         if not stripped or stripped.startswith("#"):
             continue
         left, right, rhs, (table_id, origin) = _parse_rule_line(line, line_no)
-        rules.append(Rule(left, right, rhs, table_id, origin))
+        rules.append(Rule(left, right, rhs, table_id, origin, line_no))
     try:
         return RelationTable(rules)
     except RelationError:

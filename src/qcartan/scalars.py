@@ -2,8 +2,11 @@
 
 Every coefficient in the engine lives in this ring.  Exponents are kept in
 units of 1/2 (the stored integer n stands for q**(n/2)), which is the
-smallest grid on which all the half-power group-like factors close.  No
-floating point is used anywhere.
+smallest grid on which all the half-power group-like factors close.  A
+coefficient is stored as an int when it is integral and as a Fraction
+otherwise (see :func:`_exact`), so the common +-q**k coefficients of the
+rule table multiply as machine integers.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from math import isqrt
 class QScalar:
     """Sparse Laurent polynomial in q**(1/2) over Q.
 
-    Stored as {half_exponent: Fraction} with no zero coefficients; the
-    empty map is the canonical zero and equality is map equality.
+    Stored as {half_exponent: int | Fraction} with no zero coefficients
+    and integral coefficients as ints; the empty map is the canonical zero
+    and equality is map equality (2 == Fraction(2), with equal hashes).
     """
 
     __slots__ = ("_terms",)
@@ -26,14 +30,14 @@ class QScalar:
         clean = {}
         if terms:
             for h, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = _exact(c)
                 if c:
                     h = int(h)
                     prev = clean.get(h)
                     if prev is None:
                         clean[h] = c
                     else:
-                        s = prev + c
+                        s = _exact(prev + c)
                         if s:
                             clean[h] = s
                         else:
@@ -52,10 +56,10 @@ class QScalar:
 
     @classmethod
     def rational(cls, c) -> "QScalar":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return _ZERO
-        return cls({0: c})
+        return cls._raw({0: c})
 
     @classmethod
     def q_power(cls, exponent, coeff=1) -> "QScalar":
@@ -64,10 +68,10 @@ class QScalar:
         e = Fraction(exponent)
         if e.denominator not in (1, 2):
             raise ValueError(f"exponent {exponent} is not a half-integer")
-        c = Fraction(coeff)
+        c = _exact(coeff)
         if not c:
             return _ZERO
-        return cls({int(2 * e): c})
+        return cls._raw({int(2 * e): c})
 
     @classmethod
     def _raw(cls, terms: dict) -> "QScalar":
@@ -92,7 +96,7 @@ class QScalar:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and 0 in self._terms:
-            return self._terms[0]
+            return Fraction(self._terms[0])
         return None
 
     def __bool__(self):
@@ -102,7 +106,7 @@ class QScalar:
         if isinstance(other, QScalar):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: Fraction(other)} if other else {})
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -120,7 +124,7 @@ class QScalar:
             return self
         terms = dict(self._terms)
         for h, c in other._terms.items():
-            s = terms.get(h, _F0) + c
+            s = _exact(terms.get(h, 0) + c)
             if s:
                 terms[h] = s
             else:
@@ -154,12 +158,12 @@ class QScalar:
         if len(a) == 1 and len(b) == 1:
             (ha, ca), = a.items()
             (hb, cb), = b.items()
-            return QScalar._raw({ha + hb: ca * cb})
+            return QScalar._raw({ha + hb: _exact(ca * cb)})
         terms = {}
         for ha, ca in a.items():
             for hb, cb in b.items():
                 h = ha + hb
-                s = terms.get(h, _F0) + ca * cb
+                s = _exact(terms.get(h, 0) + ca * cb)
                 if s:
                     terms[h] = s
                 else:
@@ -187,7 +191,7 @@ class QScalar:
         if len(self._terms) != 1:
             raise ValueError(f"cannot invert non-monomial scalar {self}")
         (h, c), = self._terms.items()
-        return QScalar._raw({-h: 1 / c})
+        return QScalar._raw({-h: _exact(1 / Fraction(c))})
 
     # -- specialization ----------------------------------------------
 
@@ -245,6 +249,17 @@ class QScalar:
         return f"QScalar({self})"
 
 
+def _exact(c):
+    """The canonical stored form of a rational: an int when integral, else
+    a Fraction.  Non-int input goes through Fraction, so division never
+    yields a float."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _coerce(value):
     if isinstance(value, QScalar):
         return value
@@ -273,13 +288,13 @@ def _rational_sqrt(v: Fraction) -> Fraction | None:
 
 _F0 = Fraction(0)
 _ZERO = QScalar._raw({})
-_ONE = QScalar._raw({0: Fraction(1)})
+_ONE = QScalar._raw({0: 1})
 
 ZERO = _ZERO
 ONE = _ONE
-Q = QScalar._raw({2: Fraction(1)})
-Q_INV = QScalar._raw({-2: Fraction(1)})
-Q_HALF = QScalar._raw({1: Fraction(1)})
+Q = QScalar._raw({2: 1})
+Q_INV = QScalar._raw({-2: 1})
+Q_HALF = QScalar._raw({1: 1})
 
 
 # A scalar expression is a signed sum of monomials:  3/2*q^-1/2 + 1 - q^2.

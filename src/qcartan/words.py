@@ -9,6 +9,15 @@ inner derivations and the Lie derivatives.  Normal order is by sector,
 
 and alphabetically inside each sector; every commutation rule of the
 calculus moves letters toward this order.
+
+A word is keyed by its letter codes: the tuple of positions of its signed
+letters, one per unit power (x**-2*y is (6, 6, 8), since xinv sits just
+before x).  Normal order is then plain integer order of adjacent codes,
+and :func:`canonical_codes` brings any code sequence to canonical form in
+one integer pass, which is what the rewrite kernel in
+:mod:`qcartan.normalizer` runs after each splice.  The (Generator,
+exponent) factor view is derived from the codes when printing or
+calculus code asks for it.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import groupby
 
 from .scalars import ONE, QScalar
 
@@ -91,6 +101,18 @@ GENERATORS: dict[str, Generator] = _build_alphabet()
 WORD_LETTERS = frozenset(g for g in GENERATORS.values() if not g.is_alias)
 INVERTIBLE = frozenset((GENERATORS["x"], GENERATORS["K"]))
 
+# Per letter code (a letter's position): the letter, the generator it is a
+# power of and the sign of that power, the code that cancels it (-1 if
+# none) and whether its square vanishes.
+LETTERS = tuple(sorted(GENERATORS.values(), key=lambda g: g.position))
+_BASE = tuple(GENERATORS[g.inverse_name] if g.is_alias else g for g in LETTERS)
+_SIGN = tuple(-1 if g.is_alias else 1 for g in LETTERS)
+_INVERSE = tuple(
+    GENERATORS[g.inverse_name].position if g.inverse_name else -1
+    for g in LETTERS
+)
+_NILPOTENT = tuple(g.form_degree != 0 for g in LETTERS)
+
 
 def generator(name: str) -> Generator:
     try:
@@ -109,55 +131,66 @@ def signed_letter(gen: Generator, exponent: int) -> Generator:
 class Word:
     """A canonical product of generator powers.
 
-    Factors are (Generator, exponent) with nonzero exponents, adjacent
-    equal generators merged, negative exponents only on x and K, and
-    wedge-nilpotent letters (form degree != 0) carrying exponent 1.
-    Construct through :func:`make_word`; the constructor trusts its input.
+    The identity of a word is `codes`: the positions of its signed letters,
+    one per unit power, so x**-2*y is (6, 6, 8).  The tuple is canonical
+    (adjacent x/xinv and K/Kinv cancelled, no form letter repeated next to
+    itself), and hash and equality are those of the tuple.  `factors`
+    views the same word as (Generator, exponent) pairs with nonzero
+    exponents, adjacent equal generators merged, negative exponents only
+    on x and K, and wedge-nilpotent letters (form degree != 0) carrying
+    exponent 1; it is built from the codes on first use.  Construct
+    through :func:`make_word` or :func:`canonical_codes`; the constructor
+    trusts its input.
     """
 
-    __slots__ = ("factors", "_key", "_hash")
+    __slots__ = ("codes", "_factors", "_hash")
 
-    def __init__(self, factors: tuple):
-        self.factors = factors
-        self._key = tuple(
-            (signed_letter(g, e).position, abs(e)) for g, e in factors
-        )
-        self._hash = hash(self._key)
+    def __init__(self, codes: tuple, factors: tuple | None = None):
+        self.codes = codes
+        self._factors = factors
+        self._hash = hash(codes)
+
+    @property
+    def factors(self) -> tuple:
+        if self._factors is None:
+            self._factors = tuple(
+                (_BASE[c], _SIGN[c] * n) for c, n in _runs(self.codes)
+            )
+        return self._factors
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self._key == other._key
+        return isinstance(other, Word) and self.codes == other.codes
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return self._key < other._key
+        return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return self._key
+        """(position, |exponent|) per factor: the printed term order, in
+        which x*y sorts before x**2."""
+        return tuple(_runs(self.codes))
 
     def is_empty(self) -> bool:
-        return not self.factors
+        return not self.codes
 
     def __len__(self):
         """Letter count (exponents counted with multiplicity)."""
-        return sum(abs(e) for _, e in self.factors)
+        return len(self.codes)
 
     def form_degree(self) -> int:
-        return sum(g.form_degree * e for g, e in self.factors)
+        return sum(LETTERS[c].form_degree for c in self.codes)
 
     def letters(self):
         """The signed letters of the word, one per unit power."""
-        out = []
-        for g, e in self.factors:
-            out.extend([signed_letter(g, e)] * abs(e))
-        return out
+        return [LETTERS[c] for c in self.codes]
 
     def sectors(self):
-        return {g.sector for g, _ in self.factors}
+        return {LETTERS[c].sector for c in self.codes}
 
     def __str__(self):
-        if not self.factors:
+        if not self.codes:
             return "1"
         return "*".join(
             g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors
@@ -167,7 +200,33 @@ class Word:
         return f"Word({self})"
 
 
+def _runs(codes):
+    """(code, run length) for each maximal run of equal codes."""
+    return [(c, len(list(run))) for c, run in groupby(codes)]
+
+
 EMPTY_WORD = Word(())
+
+
+def canonical_codes(codes) -> tuple | None:
+    """The canonical code tuple of a letter-code sequence, or None if 0.
+
+    One pass with a stack: adjacent x/xinv and K/Kinv cancel (cascading
+    outward), and a form letter meeting itself makes the monomial vanish.
+    Agrees with :func:`make_word` on the same letters.
+    """
+    out = []
+    for c in codes:
+        if out:
+            top = out[-1]
+            if top == c:
+                if _NILPOTENT[c]:
+                    return None
+            elif top == _INVERSE[c]:
+                out.pop()
+                continue
+        out.append(c)
+    return tuple(out)
 
 
 def make_word(pairs) -> Word | None:
@@ -202,7 +261,12 @@ def make_word(pairs) -> Word | None:
             return None
         if ee < 0 and ge not in INVERTIBLE:
             raise ValueError(f"negative power of {ge.name} is not defined")
-    return Word(tuple((g, e) for g, e in stack)) if stack else EMPTY_WORD
+    if not stack:
+        return EMPTY_WORD
+    codes = []
+    for g, e in stack:
+        codes += [signed_letter(g, e).position] * abs(e)
+    return Word(tuple(codes), tuple((g, e) for g, e in stack))
 
 
 def single(name: str, exponent: int = 1) -> Word:
@@ -392,9 +456,10 @@ def concat(a: Element, b: Element) -> Element:
     terms: dict[Word, QScalar] = {}
     for wa, ca in a.terms():
         for wb, cb in b.terms():
-            w = make_word(wa.factors + wb.factors)
-            if w is None:
+            codes = canonical_codes(wa.codes + wb.codes)
+            if codes is None:
                 continue
+            w = Word(codes)
             c = ca * cb
             prev = terms.get(w)
             if prev is None:

@@ -88,6 +88,26 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+def test_table_invariant_error_names_line(capsys, tmp_path):
+    table = tmp_path / "bad.rel"
+    table.write_text("y . x -> x^0 . y\n", encoding="utf-8")
+    code, out, err = run(capsys, "normalize", "y*x", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: rule y . x: leading term")
+
+
+@pytest.mark.parametrize("suite, degree", [("d2", "-1"), ("all", "0"),
+                                           ("confluence", "0")])
+def test_check_rejects_degree_below_one(capsys, suite, degree):
+    with pytest.raises(SystemExit) as info:
+        main(["check", suite, "--max-degree", degree])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_degree must be at least 1" in captured.err
+
+
 def test_check_identification_text(capsys):
     code, out, _ = run(capsys, "check", "identification")
     assert code == 0

@@ -5,14 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from qcartan.normalizer import (
     MissingRuleError,
+    _positions,
+    _rewrite_at,
     check_local_confluence,
     multiply,
     normalize,
     normalize_report,
 )
 from qcartan.parser import parse_element
+from qcartan.relations import builtin_presentation
 from qcartan.scalars import Q, Q_INV
-from qcartan.words import Element, make_word
+from qcartan.words import GENERATORS, Element, make_word
 
 
 def nf(text, table):
@@ -85,8 +88,10 @@ def test_missing_rule_raises(table):
         nf("wx*dx", table)
     assert info.value.left.name == "wx"
     assert info.value.right.name == "dx"
-    with pytest.raises(MissingRuleError):
+    with pytest.raises(MissingRuleError) as info:
         nf("Tx*px", table)
+    assert info.value.left.name == "Tx"
+    assert info.value.right.name == "px"
     with pytest.raises(MissingRuleError):
         nf("ix*Tx", table)
 
@@ -146,3 +151,41 @@ def test_coordinate_multiplication_is_associative(wa, wb):
     lhs = multiply(multiply(a, b, table), c, table)
     rhs = multiply(a, multiply(b, c, table), table)
     assert lhs == rhs
+
+
+def _reference_rewrite(word, i, table):
+    """One rule application through Generator objects and make_word."""
+    letters = word.letters()
+    rhs = table.rewrite(letters[i], letters[i + 1])
+    if rhs is None:
+        raise MissingRuleError(letters[i], letters[i + 1])
+    left = [(g, 1) for g in letters[:i]]
+    right = [(g, 1) for g in letters[i + 2:]]
+    return [(make_word(left + list(w.factors) + right), c)
+            for w, c in rhs.terms()]
+
+
+# Letters weighted toward the x**-1 and K rules, whose terms cancel at the
+# splice.
+rewrite_letters = st.one_of(
+    st.sampled_from(sorted(GENERATORS)),
+    st.sampled_from(["x", "xinv", "K", "Kinv", "dx", "px", "Tx"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rewrite_letters, min_size=2, max_size=6))
+def test_rewrite_at_agrees_with_reference(names):
+    table = builtin_presentation()
+    word = make_word((n, 1) for n in names)
+    if word is None:
+        return
+    for i in _positions(word.codes):
+        try:
+            expected = _reference_rewrite(word, i, table)
+        except MissingRuleError as exc:
+            with pytest.raises(MissingRuleError) as info:
+                _rewrite_at(word.codes, i, table)
+            assert (info.value.left, info.value.right) == (exc.left, exc.right)
+            continue
+        assert _rewrite_at(word.codes, i, table) == expected

@@ -161,6 +161,16 @@ def test_parse_error_carries_line_number():
         text = f"# header\ny . x -> (q^-1) x . y\n{bad}\n"
         with pytest.raises(RelationError, match="line 3: zero denominator"):
             load_presentation(text)
+    # table invariants are checked after parsing and still name the line
+    for bad, message in (
+        ("z . y -> x^0 . y", "leading term"),
+        ("y . x -> x . y", "duplicate rule for pair y . x"),
+        ("z . y -> y . z + dx", "form degree 1 of term dx"),
+        ("z . y -> y . z + x . y . z", "does not decrease the rewrite measure"),
+    ):
+        text = f"# header\ny . x -> (q^-1) x . y\n{bad}\n"
+        with pytest.raises(RelationError, match=f"^line 3: .*{message}"):
+            load_presentation(text)
 
 
 def test_missing_swap_term_rejected():

@@ -110,3 +110,47 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + QScalar.zero() == a
     assert a * ONE == a
+
+
+def _stored_exactly(s: QScalar) -> bool:
+    """Integral coefficients stored as int, the rest as Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in s._terms.values()
+    )
+
+
+@given(scalars, scalars, st.integers(min_value=-2, max_value=3))
+def test_coefficients_stay_exact(a, b, n):
+    results = [a, b, a + b, a - b, -a, a * b, (a + b) * (a - b), a + 1,
+               2 * b, a * Fraction(1, 2), a + Fraction(3, 2)]
+    for s in (a, b):
+        if s.is_monomial():
+            results += [s.inverse(), s ** n, s * s.inverse()]
+    for s in results:
+        assert _stored_exactly(s), s._terms
+
+
+def test_inverse_goes_through_fraction():
+    inv = QScalar.rational(2).inverse()
+    assert inv._terms == {0: Fraction(1, 2)}
+    assert type(inv._terms[0]) is Fraction
+    assert QScalar.rational(Fraction(1, 2)).inverse()._terms == {0: 2}
+    assert type(QScalar.rational(Fraction(1, 2)).inverse()._terms[0]) is int
+
+
+def test_int_and_fraction_scalars_are_equal():
+    a, b = QScalar.rational(2), QScalar.rational(Fraction(2))
+    assert a == b and hash(a) == hash(b)
+    assert type(b._terms[0]) is int
+    c = QScalar({3: Fraction(4, 2)})
+    assert c == QScalar.q_power(Fraction(3, 2), 2) and type(c._terms[3]) is int
+    assert QScalar.rational(Fraction(1, 2)) * 2 == ONE
+
+
+def test_specializations_return_fractions():
+    assert type((ONE + Q).evaluate(2)) is Fraction
+    assert type(QScalar.zero().evaluate(3)) is Fraction
+    assert type(QScalar.rational(3).constant_value()) is Fraction
+    assert type(QScalar.zero().constant_value()) is Fraction
+    assert QScalar.rational(3).constant_value() == 3

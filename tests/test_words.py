@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from qcartan.scalars import Q
 from qcartan.words import (
@@ -6,6 +7,8 @@ from qcartan.words import (
     Element,
     GENERATORS,
     Sector,
+    Word,
+    canonical_codes,
     concat,
     generator,
     make_word,
@@ -132,3 +135,74 @@ def test_element_evaluate():
     assert e.evaluate(1) == {}
     values = e.evaluate(2)
     assert values == {single("x"): 1}
+
+
+def test_word_codes_are_signed_positions():
+    w = make_word([("x", -2), ("y", 1)])
+    assert w.codes == (6, 6, 8)
+    assert w == Word((6, 6, 8))
+    assert hash(w) == hash(Word((6, 6, 8)))
+    assert Word((6, 6, 8)).factors == w.factors
+    assert EMPTY_WORD.codes == ()
+
+
+def test_canonical_codes_cascades():
+    code = {name: g.position for name, g in GENERATORS.items()}
+    # y x K Kinv xinv y  ->  y^2
+    seq = [code[n] for n in ("y", "x", "K", "Kinv", "xinv", "y")]
+    assert canonical_codes(seq) == (code["y"], code["y"])
+    # dx x xinv dx: the cancellation brings dx next to itself
+    assert canonical_codes([code[n] for n in ("dx", "x", "xinv", "dx")]) is None
+    assert canonical_codes([code["iy"], code["iy"]]) is None
+    assert canonical_codes([code["y"], code["y"]]) == (code["y"], code["y"])
+
+
+def test_printed_term_order():
+    words = [single("x", 2), make_word([("x", 1), ("y", 1)]), single("x"),
+             single("x", -1)]
+    ordered = sorted(words, key=Word.sort_key)
+    assert [str(w) for w in ordered] == ["x^-1", "x", "x*y", "x^2"]
+    assert sorted(words) == ordered
+    e = Element({w: Q for w in words})
+    assert str(e) == "(q) x^-1 + (q) x + (q) x*y + (q) x^2"
+
+
+# Letters weighted toward the ones that cancel or vanish in pairs.
+_NAMES = sorted(GENERATORS)
+letter_names = st.one_of(
+    st.sampled_from(_NAMES),
+    st.sampled_from(["x", "xinv", "K", "Kinv", "dx", "wy", "iz"]),
+)
+
+
+@given(st.lists(letter_names, max_size=12))
+def test_canonical_codes_agree_with_make_word(names):
+    w = make_word([(n, 1) for n in names])
+    codes = canonical_codes([generator(n).position for n in names])
+    if w is None:
+        assert codes is None
+    else:
+        assert codes == w.codes
+        assert Word(codes) == w
+        assert Word(codes).factors == w.factors
+
+
+powers = st.one_of(
+    st.tuples(st.sampled_from(["x", "K", "xinv", "Kinv"]),
+              st.integers(min_value=-3, max_value=3)),
+    st.tuples(letter_names.filter(lambda n: n not in ("xinv", "Kinv")),
+              st.integers(min_value=1, max_value=3)),
+)
+
+
+@given(st.lists(powers, max_size=8))
+def test_canonical_codes_agree_with_make_word_on_powers(pairs):
+    w = make_word(pairs)
+    codes = []
+    for name, e in pairs:
+        g = generator(name)
+        if e < 0:
+            g = generator(g.inverse_name)
+        codes += [g.position] * abs(e)
+    got = canonical_codes(codes)
+    assert got == (None if w is None else w.codes)
