@@ -11,6 +11,7 @@ the unit, and those vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import ONE, QScalar
 from .words import (
@@ -18,6 +19,7 @@ from .words import (
     Sector,
     OPERATOR_SECTORS,
     Word,
+    add_term,
     generator,
     make_word,
 )
@@ -81,13 +83,7 @@ def exterior_d(f: Element, table) -> Element:
                 w = make_word(word.factors[:i] + mid + word.factors[i + 1:])
                 if w is None:
                     continue
-                add = coeff * c * QScalar.rational(sign)
-                prev = terms.get(w)
-                s = add if prev is None else prev + add
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
+                add_term(terms, w, coeff * c * QScalar.rational(sign))
     return normalize(Element._raw(terms), table)
 
 
@@ -178,8 +174,9 @@ def maurer_substitute(e: Element, table) -> Element:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One verdict; also the (name, passed, detail) row the CLI prints."""
+
     name: str
     passed: bool
     detail: str = ""

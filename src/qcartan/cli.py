@@ -87,10 +87,6 @@ def _max_degree(text: str) -> int:
 
 # --- check suites ----------------------------------------------------------
 
-def _rows(report) -> list[tuple[str, bool, str]]:
-    return [(r.name, r.passed, r.detail) for r in report.results]
-
-
 def _suite_d2(max_degree: int, table):
     rows = []
     for w in calculus.basis_forms(max_degree, max_form_degree=2,
@@ -170,25 +166,25 @@ def run_suite(name: str, max_degree: int, seeds, table):
     if name == "confluence":
         return _suite_confluence(max(max_degree, 3), seeds, table)
     if name == "d-expansion":
-        return _rows(calculus.check_d_expansion(None, max_degree, table))
+        return calculus.check_d_expansion(None, max_degree, table).results
     if name == "omega":
-        return _rows(calculus.check_omega_tables(max_degree, table))
+        return calculus.check_omega_tables(max_degree, table).results
     if name == "t-real":
-        return _rows(calculus.check_t_realization(max_degree, table))
+        return calculus.check_t_realization(max_degree, table).results
     if name == "cartan-tables":
         return _suite_cartan_tables(max_degree, table)
     if name == "l-real":
         return _suite_l_real(max_degree, table)
     if name == "hopf-A":
-        return _rows(hopf.check_hopf_axioms("A", min(max_degree, 3), table))
+        return hopf.check_hopf_axioms("A", min(max_degree, 3), table).results
     if name == "hopf-U":
-        return _rows(hopf.check_hopf_axioms("U", min(max_degree, 3), table))
+        return hopf.check_hopf_axioms("U", min(max_degree, 3), table).results
     if name == "dual-relations":
-        return _rows(duality.check_dual_relations(max(max_degree, 2), table))
+        return duality.check_dual_relations(max(max_degree, 2), table).results
     if name == "dual-hopf":
-        return _rows(duality.check_dual_hopf(min(max_degree, 3), table))
+        return duality.check_dual_hopf(min(max_degree, 3), table).results
     if name == "identification":
-        return _rows(duality.check_identification(table))
+        return duality.check_identification(table).results
     raise ValueError(f"unknown suite {name!r}")
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, QScalar
-from .words import EMPTY_WORD, Element, make_word, signed_letter
+from .words import (EMPTY_WORD, Element, Word, add_term, canonical_codes,
+                    concat, make_word, signed_letter)
 from .normalizer import multiply, normalize
 from .calculus import CheckReport, CheckResult
 
@@ -27,26 +28,14 @@ class TensorElement:
         if arity not in (2, 3):
             raise ValueError("tensor arity must be 2 or 3")
         self.arity = arity
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if not c:
-                    continue
-                prev = clean.get(key)
-                if prev is None:
-                    clean[key] = c
-                else:
-                    s = prev + c
-                    if s:
-                        clean[key] = s
-                    else:
-                        del clean[key]
-        self._terms = clean
+        self._terms = {}
+        for key, c in (terms or {}).items():
+            add_term(self._terms, key, c)
 
     @classmethod
     def _raw(cls, arity, terms):
-        t = cls.__new__(cls)
-        t.arity = arity
+        """Wrap a map already free of zero coefficients; checks the arity."""
+        t = cls(arity)
         t._terms = terms
         return t
 
@@ -75,12 +64,7 @@ class TensorElement:
             return NotImplemented
         terms = dict(self._terms)
         for k, c in other._terms.items():
-            prev = terms.get(k)
-            s = c if prev is None else prev + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+            add_term(terms, k, c)
         return TensorElement._raw(self.arity, terms)
 
     def __sub__(self, other):
@@ -111,65 +95,63 @@ class TensorElement:
         return f"TensorElement({self})"
 
 
+def _add_outer(out: dict, elements, scale=None) -> None:
+    """Add the outer product of the elements, times scale, into out."""
+    first, *rest = elements
+    acc = [((w,), c) for w, c in first.terms()]
+    for e in rest:
+        acc = [(key + (w,), kc * c) for key, kc in acc for w, c in e.terms()]
+    for key, c in acc:
+        add_term(out, key, c if scale is None else c * scale)
+
+
 def tensor(*elements: Element) -> TensorElement:
     """Outer product of 2 or 3 elements."""
-    arity = len(elements)
     out = {}
-    if arity == 2:
-        a, b = elements
-        for wa, ca in a.terms():
-            for wb, cb in b.terms():
-                out[(wa, wb)] = out.get((wa, wb), QScalar.zero()) + ca * cb
-    else:
-        a, b, c = elements
-        for wa, ca in a.terms():
-            for wb, cb in b.terms():
-                for wc, cc in c.terms():
-                    key = (wa, wb, wc)
-                    out[key] = out.get(key, QScalar.zero()) + ca * cb * cc
-    return TensorElement(len(elements), out)
+    _add_outer(out, elements)
+    return TensorElement._raw(len(elements), out)
+
+
+def _slot_product(wa: Word, wb: Word, table) -> Element:
+    """Normal form of the product of two slot words."""
+    codes = canonical_codes(wa.codes + wb.codes)
+    if codes is None:
+        return Element.zero()
+    return normalize(Element._raw({Word(codes): ONE}), table)
 
 
 def tensor_mul(a: TensorElement, b: TensorElement, table) -> TensorElement:
     """(u1 (x) u2)(v1 (x) v2) = u1 v1 (x) u2 v2, slots normalized."""
     if a.arity != b.arity:
         raise ValueError("tensor arities differ")
-    out = TensorElement(a.arity, {})
+    out = {}
     for ka, ca in a.terms():
         for kb, cb in b.terms():
-            slots = [
-                normalize(Element.from_word(make_word(wa.factors + wb.factors)),
-                          table)
-                for wa, wb in zip(ka, kb)
-            ]
-            piece = tensor(*slots) * (ca * cb)
-            out = out + piece
-    return out
+            slots = [_slot_product(wa, wb, table) for wa, wb in zip(ka, kb)]
+            _add_outer(out, slots, ca * cb)
+    return TensorElement._raw(a.arity, out)
 
 
 def map_slot(t: TensorElement, slot: int, fn) -> TensorElement:
-    """Apply an Element-valued word map to one slot, keeping arity + 1
-    bookkeeping to the caller (fn returns TensorElement for coproducts)."""
-    out = None
+    """Replace the word in one slot by its image under fn, linearly.
+
+    fn maps a word to an Element, which keeps the arity, or to a
+    TensorElement (a coproduct, say), whose slots are spliced in place of
+    the one slot, so the arity grows by the image's arity minus one.
+    """
+    out = {}
+    arity = t.arity
     for key, c in t.terms():
         img = fn(key[slot])
         if isinstance(img, TensorElement):
             arity = t.arity - 1 + img.arity
-            acc = {}
-            for ikey, ic in img.terms():
-                new_key = key[:slot] + ikey + key[slot + 1:]
-                acc[new_key] = acc.get(new_key, QScalar.zero()) + c * ic
-            piece = TensorElement(arity, acc)
+            pieces = img.terms()
         else:
-            acc = {}
-            for iw, ic in img.terms():
-                new_key = key[:slot] + (iw,) + key[slot + 1:]
-                acc[new_key] = acc.get(new_key, QScalar.zero()) + c * ic
-            piece = TensorElement(t.arity, acc)
-        out = piece if out is None else out + piece
-    if out is None:
-        return TensorElement(t.arity, {})
-    return out
+            pieces = (((w,), ic) for w, ic in img.terms())
+        head, tail = key[:slot], key[slot + 1:]
+        for ikey, ic in pieces:
+            add_term(out, head + ikey + tail, c * ic)
+    return TensorElement._raw(arity, out)
 
 
 @dataclass(frozen=True)
@@ -208,8 +190,6 @@ def _coordinate_presentation() -> HopfPresentation:
         "z": tensor(z, one) + tensor(one, z),
     }
     eps = {"x": ONE, "xinv": ONE, "y": QScalar.zero(), "z": QScalar.zero()}
-    from .words import concat
-
     antipode = {
         "x": xinv,
         "xinv": x,
@@ -235,8 +215,6 @@ def _lie_presentation() -> HopfPresentation:
     }
     zero = QScalar.zero()
     eps = {"Tx": zero, "Ty": zero, "Tz": zero, "K": ONE, "Kinv": ONE}
-    from .words import concat
-
     antipode = {
         "Tx": -tx,
         "Ty": -concat(kinv, ty),
@@ -266,7 +244,7 @@ def presentation(alg) -> HopfPresentation:
 def coproduct(alg, e: Element, table) -> TensorElement:
     """Multiplicative extension of the generator coproducts."""
     pres = presentation(alg)
-    out = TensorElement(2, {})
+    out = {}
     for word, coeff in e.terms():
         acc = TensorElement.unit(2)
         for g, exp in word.factors:
@@ -274,8 +252,9 @@ def coproduct(alg, e: Element, table) -> TensorElement:
             img = pres.delta[name]
             for _ in range(abs(exp)):
                 acc = tensor_mul(acc, img, table)
-        out = out + acc * coeff
-    return out
+        for key, c in acc.terms():
+            add_term(out, key, c * coeff)
+    return TensorElement._raw(2, out)
 
 
 def counit(alg, e: Element) -> QScalar:

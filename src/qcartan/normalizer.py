@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .scalars import ONE, QScalar
-from .words import LETTERS, Element, Word, canonical_codes, make_word
+from .words import LETTERS, Element, Word, add_term, canonical_codes, make_word
 
 
 class MissingRuleError(Exception):
@@ -126,12 +126,7 @@ def _normal_form(word: Word, table, cache: dict, pick, rng) -> dict:
         acc: dict[Word, QScalar] = {}
         for w, c in children:
             for nw, nc in cache[w].items():
-                prev = acc.get(nw)
-                s = c * nc if prev is None else prev + c * nc
-                if s:
-                    acc[nw] = s
-                else:
-                    acc.pop(nw, None)
+                add_term(acc, nw, c * nc)
         cache[cur] = acc
         del pending[cur]
         stack.pop()
@@ -154,12 +149,7 @@ def normalize(e: Element, table, strategy: str = "leftmost", seed: int = 0) -> E
     terms: dict[Word, QScalar] = {}
     for w, c in e.terms():
         for nw, nc in _normal_form(w, table, cache, pick, rng).items():
-            prev = terms.get(nw)
-            s = c * nc if prev is None else prev + c * nc
-            if s:
-                terms[nw] = s
-            else:
-                terms.pop(nw, None)
+            add_term(terms, nw, c * nc)
     return Element._raw(terms)
 
 
@@ -201,12 +191,7 @@ def normalize_report(
         w, c = agenda.pop()
         positions = _positions(w.codes)
         if not positions:
-            prev = done.get(w)
-            s = c if prev is None else prev + c
-            if s:
-                done[w] = s
-            else:
-                done.pop(w, None)
+            add_term(done, w, c)
             continue
         steps += 1
         i = pick(w, positions, rng)

@@ -6,8 +6,9 @@
     atom   := number | 'q' | name | '(' expr ')'
 
 Numbers are exact rationals (`3`, `3/4`); `q` powers admit half-integer
-exponents (`q^1/2`).  Unicode spellings of the operator letters are
-accepted on input; output is plain ASCII.
+exponents (`q^1/2`); every exponent is bounded in absolute value by
+:data:`~qcartan.words.MAX_EXPONENT`.  Unicode spellings of the operator
+letters are accepted on input; output is plain ASCII.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import QScalar
-from .words import Element, GENERATORS, make_word
+from .words import Element, GENERATORS, MAX_EXPONENT, make_word
 
 
 class ParseError(ValueError):
@@ -202,6 +203,9 @@ class _Parser:
             raise ParseError("expected an exponent", pos)
         self.next()
         exp = sign * _fraction(value, pos)
+        if abs(exp) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {exp} exceeds the limit {MAX_EXPONENT}", pos)
         if isinstance(atom, QPow):
             half = exp * 2
             if half.denominator != 1:

@@ -97,6 +97,11 @@ def _build_alphabet():
 
 GENERATORS: dict[str, Generator] = _build_alphabet()
 
+# Largest |exponent| a written power may carry.  A word stores one letter
+# code per unit power, so the cap bounds the memory a single power can ask
+# for; it applies to every '^' in expressions and relation files.
+MAX_EXPONENT = 100_000
+
 # Letters that may appear in canonical word factors (aliases resolve away).
 WORD_LETTERS = frozenset(g for g in GENERATORS.values() if not g.is_alias)
 INVERTIBLE = frozenset((GENERATORS["x"], GENERATORS["K"]))
@@ -247,6 +252,10 @@ def make_word(pairs) -> Word | None:
             continue
         if not isinstance(e, int):
             raise ValueError(f"exponent {e!r} of {g.name} is not an integer")
+        if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
+            raise ValueError(
+                f"exponent {e} of {g.name} exceeds the limit {MAX_EXPONENT}"
+            )
         if e < 0 and g not in INVERTIBLE:
             raise ValueError(f"negative power of {g.name} is not defined")
         if stack and stack[-1][0] is g:
@@ -269,6 +278,26 @@ def make_word(pairs) -> Word | None:
     return Word(tuple(codes), tuple((g, e) for g, e in stack))
 
 
+def add_term(terms: dict, key, c) -> None:
+    """Add c into terms[key], deleting the key when the sum is zero.
+
+    The one accumulate path for the engine's sparse maps with QScalar
+    values: elements keyed by words, tensors keyed by word tuples, and
+    normal forms.  Adding zero to an absent key stores nothing, so a map
+    built only through this helper never holds a zero coefficient.
+    QScalar keeps its own loops over {half_exponent: coefficient}: each
+    coefficient there passes through ``scalars._exact`` so that integral
+    values stay ints, and sharing this helper would make it branch on
+    its caller.
+    """
+    prev = terms.get(key)
+    s = c if prev is None else prev + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def single(name: str, exponent: int = 1) -> Word:
     w = make_word([(name, exponent)])
     assert w is not None
@@ -286,21 +315,10 @@ class Element:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if w is None or not c:
-                    continue
-                prev = clean.get(w)
-                if prev is None:
-                    clean[w] = c
-                else:
-                    s = prev + c
-                    if s:
-                        clean[w] = s
-                    else:
-                        del clean[w]
-        self._terms = clean
+        self._terms = {}
+        for w, c in (terms or {}).items():
+            if w is not None:
+                add_term(self._terms, w, c)
 
     @classmethod
     def _raw(cls, terms: dict) -> "Element":
@@ -387,15 +405,7 @@ class Element:
             return self
         terms = dict(self._terms)
         for w, c in other._terms.items():
-            prev = terms.get(w)
-            if prev is None:
-                terms[w] = c
-            else:
-                s = prev + c
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
+            add_term(terms, w, c)
         return Element._raw(terms)
 
     def __sub__(self, other):
@@ -457,17 +467,6 @@ def concat(a: Element, b: Element) -> Element:
     for wa, ca in a.terms():
         for wb, cb in b.terms():
             codes = canonical_codes(wa.codes + wb.codes)
-            if codes is None:
-                continue
-            w = Word(codes)
-            c = ca * cb
-            prev = terms.get(w)
-            if prev is None:
-                terms[w] = c
-            else:
-                s = prev + c
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
+            if codes is not None:
+                add_term(terms, Word(codes), ca * cb)
     return Element._raw(terms)

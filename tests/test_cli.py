@@ -77,12 +77,19 @@ def test_missing_rule_diagnostic(capsys):
 def test_parse_error_exits_nonzero(capsys, tmp_path):
     table = tmp_path / "zero.rel"
     table.write_text("y . x -> (1/0) x . y\n", encoding="utf-8")
+    huge = tmp_path / "huge.rel"
+    huge.write_text("y . x -> (q^-1) x . y^300000000\n", encoding="utf-8")
     for argv in (("normalize", "y**x"),
                  ("normalize", "1/0"),
                  ("normalize", "x^1/0"),
                  ("normalize", "q^1/0*x"),
                  ("pair", "X", "1/0"),
-                 ("normalize", "y*x", "--table", str(table))):
+                 ("normalize", "y*x", "--table", str(table)),
+                 ("normalize", "x^300000000"),
+                 ("normalize", "(x*y)^300000000"),
+                 ("d", "y^-300000000"),
+                 ("pair", "X", "x^300000000"),
+                 ("normalize", "y*x", "--table", str(huge))):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: "), argv
@@ -106,6 +113,29 @@ def test_check_rejects_degree_below_one(capsys, suite, degree):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_degree must be at least 1" in captured.err
+
+
+def test_check_all_suite_counts(capsys):
+    # The per-suite check counts are part of the benchmark's gate; a
+    # refactor must not change how many checks a suite runs.
+    code, out, _ = run(capsys, "check", "all", "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS d2: 98 checks, 0 failures",
+        "PASS leibniz: 49 checks, 0 failures",
+        "PASS confluence: 1 checks, 0 failures",
+        "PASS d-expansion: 10 checks, 0 failures",
+        "PASS omega: 78 checks, 0 failures",
+        "PASS t-real: 31 checks, 0 failures",
+        "PASS cartan-tables: 10 checks, 0 failures",
+        "PASS l-real: 1 checks, 0 failures",
+        "PASS hopf-A: 73 checks, 0 failures",
+        "PASS hopf-U: 112 checks, 0 failures",
+        "PASS dual-relations: 108 checks, 0 failures",
+        "PASS dual-hopf: 2224 checks, 0 failures",
+        "PASS identification: 9 checks, 0 failures",
+        "PASS all suites",
+    ]
 
 
 def test_check_identification_text(capsys):

@@ -6,6 +6,7 @@ from qcartan.hopf import (
     check_hopf_axioms,
     coproduct,
     counit,
+    map_slot,
     tensor,
     tensor_mul,
 )
@@ -107,6 +108,53 @@ def test_letter_outside_presentation_rejected(table):
 def test_tensor_arity_checks():
     with pytest.raises(ValueError):
         TensorElement(4, {})
+    x = parse_element("x")
+    with pytest.raises(ValueError):
+        tensor(x)
+    with pytest.raises(ValueError):
+        tensor(x, x, x, x)
+    # splicing a coproduct into a slot of an arity-3 tensor gives arity 4
+    with pytest.raises(ValueError):
+        map_slot(tensor(x, x, x), 0, lambda w: tensor(x, x))
+
+
+def test_tensor_addition_cancels():
+    t = t2("x", "y") + t2("z", "1")
+    assert (t - t).is_zero()
+    assert (t - t)._terms == {}
+    assert (t + TensorElement(2, {k: -c for k, c in t.terms()}))._terms == {}
+    assert (t - t2("z", "1"))._terms == t2("x", "y")._terms
+
+
+def test_tensor_with_zero_factor_is_zero():
+    x = parse_element("x")
+    t = tensor(x + (-x), parse_element("y"))
+    assert t.is_zero() and t._terms == {}
+    assert tensor(x, x - x, x)._terms == {}
+
+
+def test_tensor_mul_cancels_cross_terms(table):
+    # (x (x) 1 - 1 (x) x)(x (x) 1 + 1 (x) x) = x^2 (x) 1 - 1 (x) x^2
+    a = t2("x", "1") - t2("1", "x")
+    b = t2("x", "1") + t2("1", "x")
+    got = tensor_mul(a, b, table)
+    assert got == t2("x^2", "1") - t2("1", "x^2")
+    assert len(got._terms) == 2
+
+
+def test_map_slot_images_cancel():
+    y = parse_element("y")
+    t = t2("x", "z") + t2("y", "z")
+    # x -> y and y -> -y: the two images cancel
+    images = {"x": y, "y": -y}
+    got = map_slot(t, 0, lambda w: images[str(w)])
+    assert got.arity == 2 and got.is_zero() and got._terms == {}
+    # the same with tensor-valued images, which raise the arity
+    got = map_slot(t, 0, lambda w: tensor(images[str(w)], y))
+    assert got.arity == 3 and got.is_zero() and got._terms == {}
+    # a surviving image keeps its coefficient
+    got = map_slot(t, 1, lambda w: 2 * y)
+    assert got == 2 * (t2("x", "y") + t2("y", "y"))
 
 
 def test_hopf_axioms_coordinate_algebra(table):

@@ -82,6 +82,11 @@ def test_bad_exponents_rejected():
         parse("x^1/0")
     with pytest.raises(ParseError, match="zero denominator"):
         parse("q^1/0*x")
+    for text in ("x^100001", "x^-300000000", "(x*y)^300000000",
+                 "2^300000000", "q^300000000", "K^1000000"):
+        with pytest.raises(ParseError, match="exceeds the limit 100000"):
+            parse(text)
+    assert len(next(iter(parse_element("x^-100000")))[0]) == 100_000
 
 
 def test_unbalanced_parens_rejected():

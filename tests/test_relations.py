@@ -161,6 +161,11 @@ def test_parse_error_carries_line_number():
         text = f"# header\ny . x -> (q^-1) x . y\n{bad}\n"
         with pytest.raises(RelationError, match="line 3: zero denominator"):
             load_presentation(text)
+    for bad in ("z . y -> y . z^300000000", "z . y -> (q) y^-100001 . z"):
+        text = f"# header\ny . x -> (q^-1) x . y\n{bad}\n"
+        with pytest.raises(RelationError,
+                           match="line 3: exponent .* exceeds the limit"):
+            load_presentation(text)
     # table invariants are checked after parsing and still name the line
     for bad, message in (
         ("z . y -> x^0 . y", "leading term"),

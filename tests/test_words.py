@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qcartan.scalars import Q
+from qcartan.scalars import ONE, Q, QScalar
 from qcartan.words import (
     EMPTY_WORD,
     Element,
     GENERATORS,
     Sector,
     Word,
+    add_term,
     canonical_codes,
     concat,
     generator,
@@ -86,6 +87,20 @@ def test_element_addition_cancels():
     x = Element.from_letter("x")
     assert (x + (-x)).is_zero()
     assert x + Element.zero() == x
+
+
+def test_add_term_inserts_accumulates_and_cancels():
+    x, y = single("x"), single("y")
+    terms = {}
+    add_term(terms, x, Q)
+    assert terms == {x: Q}
+    add_term(terms, x, ONE)
+    add_term(terms, y, ONE)
+    assert terms == {x: Q + 1, y: ONE}
+    add_term(terms, x, -(Q + 1))
+    assert terms == {y: ONE}
+    add_term(terms, x, QScalar.zero())
+    assert terms == {y: ONE}
 
 
 def test_element_scalar_multiplication():
