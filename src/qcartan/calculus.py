@@ -6,6 +6,15 @@ one-forms are abbreviations that :func:`omega_expand` unfolds.  Operators
 in the partial/Lie/inner/Lie-derivative sectors act from the left: words
 still carrying an operator letter after normalization are applications to
 the unit, and those vanish.
+
+Both maps here are linear and are computed once per basis word.
+:func:`exterior_d` sums c * D[w] over the terms c * w of its input, where
+D[w] is the normalized graded-Leibniz image of the word w; :func:`act`
+is bilinear and sums cu * cw * A[u, w], where A[u, w] is normalize(u w)
+with the operator words dropped.  D and A live in the relation table's
+"d" and "act" memos (:meth:`RelationTable.memo`), so they are filled once
+per table and never shared with another table; the shared loop is
+:func:`~qcartan.words.linear_image`.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .words import (
     Word,
     add_term,
     generator,
+    linear_image,
     make_word,
 )
 from .normalizer import multiply, normalize
@@ -65,6 +75,22 @@ def _d_factor(g, e):
     return out
 
 
+def _d_word(word: Word, table) -> Element:
+    """Normal form of the graded-Leibniz differential of one word."""
+    terms: dict[Word, QScalar] = {}
+    sign = 1
+    for i, (g, e) in enumerate(word.factors):
+        if g.sector is Sector.FORM:
+            sign *= (-1) ** e
+            continue
+        for mid, c in _d_factor(g, e):
+            w = make_word(word.factors[:i] + mid + word.factors[i + 1:])
+            if w is None:
+                continue
+            add_term(terms, w, c * QScalar.rational(sign))
+    return normalize(Element._raw(terms), table)
+
+
 def exterior_d(f: Element, table) -> Element:
     """Graded Leibniz differential; raises degree by one and squares to 0.
 
@@ -72,19 +98,17 @@ def exterior_d(f: Element, table) -> Element:
     for d on those; expand them first).
     """
     require_function_form(f, allow_omega=False)
-    terms: dict[Word, QScalar] = {}
-    for word, coeff in f.terms():
-        sign = 1
-        for i, (g, e) in enumerate(word.factors):
-            if g.sector is Sector.FORM:
-                sign *= (-1) ** e
-                continue
-            for mid, c in _d_factor(g, e):
-                w = make_word(word.factors[:i] + mid + word.factors[i + 1:])
-                if w is None:
-                    continue
-                add_term(terms, w, coeff * c * QScalar.rational(sign))
-    return normalize(Element._raw(terms), table)
+    return linear_image(f, table.memo("d"), lambda w: _d_word(w, table))
+
+
+def _act_word(u: Word, w: Word, table) -> Element:
+    """normalize(u w) with the words still carrying an operator letter
+    dropped."""
+    product = multiply(Element.from_word(u), Element.from_word(w), table)
+    return Element._raw({
+        v: c for v, c in product.terms()
+        if not (v.sectors() & OPERATOR_SECTORS)
+    })
 
 
 def act(operator: Element, target: Element, table) -> Element:
@@ -92,15 +116,16 @@ def act(operator: Element, target: Element, table) -> Element:
 
     Multiplies, normalizes, and drops every word still carrying an
     operator-sector letter: partials, Lie generators, inner derivations
-    and Lie derivatives all annihilate the unit.
+    and Lie derivatives all annihilate the unit.  Bilinear, so it is
+    summed from the per-word-pair images.
     """
     require_function_form(target)
-    product = multiply(operator, target, table)
-    kept = {
-        w: c for w, c in product.terms()
-        if not (w.sectors() & OPERATOR_SECTORS)
-    }
-    return Element._raw(kept)
+    memo = table.memo("act")
+    out = Element.zero()
+    for u, cu in operator.terms():
+        out = out + linear_image(target, memo,
+                                 lambda w: _act_word(u, w, table), u, cu)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,20 @@ formula L_a = i_a d + d i_a.  The commutation tables for both are then
 re-derived as operator identities on a sweep of basis forms, which turns
 every printed relation into a machine-checked theorem instead of a
 restatement.
+
+An operator word is applied one letter at a time, rightmost first, and
+each letter step is a linear map: its image of a basis word is computed
+once, through the real :func:`act`, :func:`lie_apply` or multiplication
+(the one-form expansion included), and kept in the relation table's
+"letter" memo.  :func:`verify_table` still applies both sides of every
+rule to every basis form; only the repeated per-word work is read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Element, Sector, Word, make_word
+from .words import Element, Sector, Word, linear_image, make_word
 from .normalizer import multiply
 from .calculus import (
     act,
@@ -48,6 +55,21 @@ def lie_apply(a: str, f: Element, table) -> Element:
         inner_apply(a, exterior_d(f, table), table)
 
 
+def _letter_step(g, e: int, expand_omega: bool, table):
+    """(memo tag, repeat count, image of one word) for the factor g^e."""
+    name = g.name
+    if g.sector is Sector.LIEDERIV:
+        return name, e, lambda w: lie_apply(name[1], Element.from_word(w), table)
+    if g.sector in (Sector.PARTIAL, Sector.LIE, Sector.INNER):
+        return name, e, lambda w: act(Element.from_letter(name),
+                                      Element.from_word(w), table)
+    if expand_omega and name in _OMEGA_NAMES:
+        return ("expand", name), 1, lambda w: multiply(
+            omega_images()[name], Element.from_word(w), table)
+    return (name, e), 1, lambda w: multiply(
+        Element.from_word(make_word([(g, e)])), Element.from_word(w), table)
+
+
 def apply_operator_word(word: Word, target: Element, table,
                         expand_omega: bool = False) -> Element:
     """Apply a word of mixed letters to a form, rightmost letter first.
@@ -56,21 +78,15 @@ def apply_operator_word(word: Word, target: Element, table,
     generators and inner derivations act through the table; Lie-derivative
     letters go through the Cartan formula.  One-form letters multiply by
     their expansion when expand_omega is set (they have no action rules
-    of their own).
+    of their own).  Each letter's image of each word is computed once per
+    table and memoized.
     """
+    memo = table.memo("letter")
     out = target
     for g, e in reversed(word.factors):
-        if g.sector is Sector.LIEDERIV:
-            for _ in range(e):
-                out = lie_apply(g.name[1], out, table)
-        elif g.sector in (Sector.PARTIAL, Sector.LIE, Sector.INNER):
-            letter = Element.from_letter(g.name)
-            for _ in range(e):
-                out = act(letter, out, table)
-        elif expand_omega and g.name in _OMEGA_NAMES:
-            out = multiply(omega_images()[g.name], out, table)
-        else:
-            out = multiply(Element.from_word(make_word([(g, e)])), out, table)
+        tag, times, image = _letter_step(g, e, expand_omega, table)
+        for _ in range(times):
+            out = linear_image(out, memo, image, tag)
     return out
 
 

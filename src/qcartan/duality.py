@@ -18,6 +18,11 @@ The unit pairs as <1, f> = eps(f) = [l = m = 0], the multiplicative
 extension of eps(x) = 1.  The printed convention [k = 0] for the unit
 contradicts eps(x) = 1 and would break <X, x^2> = 2; reports carry a note
 flagging the choice.
+
+The pairing is bilinear: :func:`pair` normalizes both arguments and sums
+uc * fc * <uw, fw> over their terms, where the value for each pair of
+normalized words is computed once by the coproduct recursion and kept in
+the relation table's "pair" memo.
 """
 
 from __future__ import annotations
@@ -170,11 +175,16 @@ def pair(u: Element, f, table) -> QScalar:
             raise ValueError("pairing is defined on the coordinate algebra")
     u = normalize(u, table)
     f = normalize(f, table)
+    memo = table.memo("pair")
     total = QScalar.zero()
     for uw, uc in u.terms():
-        letters = [g.name for g in uw.letters()]
         for fw, fc in f.terms():
-            total = total + uc * fc * _pair_letters(letters, fw, table)
+            value = memo.get((uw, fw))
+            if value is None:
+                letters = [g.name for g in uw.letters()]
+                value = memo[(uw, fw)] = _pair_letters(letters, fw, table)
+            if value:
+                total = total + uc * fc * value
     return total
 
 
@@ -232,28 +242,42 @@ def check_dual_hopf(max_exp: int, table) -> CheckReport:
     }
     results = [CheckResult("note", True, EPS_CONVENTION_NOTE)]
     monos = monomials(max_exp)
+    basis = [(f.element(), str(f)) for f in monos]
+    # <u1, f> and <u2, g> for every coproduct term u1 (x) u2, once per
+    # basis monomial instead of once per (f, g)
+    coproducts = []
     for label, u in gens.items():
-        du = coproduct(dual, u, table)
-        for f in monos:
-            for g in monos:
-                lhs = pair(u, multiply(f.element(), g.element(), table), table)
+        du = [
+            (c, [pair(Element.from_word(u1), f, table) for f, _ in basis],
+             [pair(Element.from_word(u2), g, table) for g, _ in basis])
+            for (u1, u2), c in coproduct(dual, u, table).terms()
+        ]
+        coproducts.append((label, u, du))
+    # one product per (f, g) for all generators; rows stay grouped by label
+    rows = {label: [] for label in gens}
+    for i, (f, f_name) in enumerate(basis):
+        for j, (g, g_name) in enumerate(basis):
+            fg = multiply(f, g, table)
+            for label, u, du in coproducts:
+                lhs = pair(u, fg, table)
                 rhs = QScalar.zero()
-                for (u1, u2), c in du.terms():
-                    left = pair(Element.from_word(u1), f, table)
-                    if not left:
-                        continue
-                    rhs = rhs + c * left * pair(Element.from_word(u2), g, table)
+                for c, left, right in du:
+                    if left[i]:
+                        rhs = rhs + c * left[i] * right[j]
                 ok = lhs == rhs
-                results.append(CheckResult(
-                    f"<{label}, {f}.{g}> via coproduct", ok,
+                rows[label].append(CheckResult(
+                    f"<{label}, {f_name}.{g_name}> via coproduct", ok,
                     "" if ok else f"{lhs} != {rhs}"))
+    for label_rows in rows.values():
+        results.extend(label_rows)
     # unit vs counit on the basis
-    for f in monos:
-        got = pair(Element.one(), f, table)
+    for f, (element, name) in zip(monos, basis):
+        got = pair(Element.one(), element, table)
         expected = _unit_pairing(f.k, f.l, f.m)
         ok = got == expected
         results.append(CheckResult(
-            f"<1, {f}> = eps({f})", ok, "" if ok else f"{got} != {expected}"))
+            f"<1, {name}> = eps({name})", ok,
+            "" if ok else f"{got} != {expected}"))
     # antipode transposition on the generators
     for label, u in gens.items():
         su = antipode(dual, u, table)

@@ -295,10 +295,17 @@ def to_element(e: Expr) -> Element:
             return Element.scalar(QScalar.rational(e.base.value ** e.exponent))
         if e.exponent < 0:
             raise ValueError("negative powers are only defined for x and K")
+        # repeated squaring (concat is associative): O(log n) products, so
+        # the work is linear in the length of the result, not quadratic
         out = Element.one()
         base = to_element(e.base)
-        for _ in range(e.exponent):
-            out = concat(out, base)
+        n = e.exponent
+        while n:
+            if n & 1:
+                out = concat(out, base)
+            n >>= 1
+            if n:
+                base = concat(base, base)
         return out
     if isinstance(e, Mul):
         out = Element.one()

@@ -132,10 +132,24 @@ class RelationTable:
     def table_ids(self):
         return sorted({r.table_id for r in self.rules})
 
+    def memo(self, name: str) -> dict:
+        """The table's memo of the given name, created empty on first use.
+
+        Every map the calculus memoizes (normal forms, d, the operator
+        actions, the duality pairing) depends only on its argument and the
+        rules, so its entries stay valid for the life of the table and are
+        never shared with another table.  Entries are stored only once
+        computed, so concurrent callers under the GIL at worst compute one
+        twice.
+        """
+        return self._caches.setdefault(name, {})
+
     def normal_form_cache(self, strategy: str) -> dict:
-        # Reduction is pure; the cache only saves recomputation and is safe
-        # to share between threads under the GIL.
-        return self._caches.setdefault(strategy, {})
+        return self.memo(f"normal_form.{strategy}")
+
+    def cache_info(self) -> dict[str, int]:
+        """{memo name: entry count} for every memo created so far."""
+        return {name: len(memo) for name, memo in self._caches.items()}
 
     def __eq__(self, other):
         if not isinstance(other, RelationTable):

@@ -113,3 +113,21 @@ def test_normalized_print_round_trip(table):
         e = normalize(parse_element(text), table)
         again = normalize(parse_element(str(e)), table)
         assert again == e
+
+
+@pytest.mark.parametrize("base", ["x*y", "x + q*dy - 2*x^-1"])
+def test_power_agrees_with_repeated_concat(base):
+    from qcartan.words import concat
+
+    element = parse_element(base)
+    expected = Element.one()
+    for n in range(10):
+        assert parse_element(f"({base})^{n}") == expected
+        expected = concat(expected, element)
+
+
+def test_long_power_of_product_parses_to_one_word():
+    e = parse_element("(x*y)^100000")
+    (word, coeff), = e.terms()
+    assert len(word) == 200_000
+    assert coeff == QScalar.rational(1)
