@@ -166,23 +166,28 @@ def pair(u: Element, f, table) -> QScalar:
 
     u is an element of the dual algebra; f is a Monomial or any element of
     the coordinate algebra (normalized first, so the value is independent
-    of the representation).
+    of the representation).  The table's "pair" memo holds <uw, fw> for
+    pairs of normal words.  u and f are normalized only when a pair of
+    their words, as given, is not in it: already-normal arguments skip
+    normalize, and terms that cancel in normal form are never paired.
     """
     if isinstance(f, Monomial):
         f = f.element()
     for sector in f.sectors():
         if sector is not Sector.COORD:
             raise ValueError("pairing is defined on the coordinate algebra")
-    u = normalize(u, table)
-    f = normalize(f, table)
     memo = table.memo("pair")
+    if not all((uw, fw) in memo for uw, _ in u.terms() for fw, _ in f.terms()):
+        u, f = normalize(u, table), normalize(f, table)
+        for uw, _ in u.terms():
+            for fw, _ in f.terms():
+                if (uw, fw) not in memo:
+                    letters = [g.name for g in uw.letters()]
+                    memo[(uw, fw)] = _pair_letters(letters, fw, table)
     total = QScalar.zero()
     for uw, uc in u.terms():
         for fw, fc in f.terms():
-            value = memo.get((uw, fw))
-            if value is None:
-                letters = [g.name for g in uw.letters()]
-                value = memo[(uw, fw)] = _pair_letters(letters, fw, table)
+            value = memo[(uw, fw)]
             if value:
                 total = total + uc * fc * value
     return total

@@ -20,6 +20,12 @@ canonical form with :func:`~qcartan.words.canonical_codes`, which cancels
 x/xinv and K/Kinv and drops wedge squares.  Coefficients are QScalars
 whose integral coefficients are ints, so the +-q**k rule coefficients
 multiply as machine integers.
+
+Memos, the pending map of a reduction and every normal form
+{codes: coeff} are keyed by the code tuples themselves, whose hash and
+equality run in C.  A :class:`~qcartan.words.Word` is built only where
+:func:`normalize` and :func:`normalize_report` return an Element, and,
+in the confluence sweep, for a divergence it reports.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import random
 from dataclasses import dataclass
 
 from .scalars import ONE, QScalar
-from .words import LETTERS, Element, Word, add_term, canonical_codes, make_word
+from .words import GENERATORS, LETTERS, Element, Word, add_term, canonical_codes
 
 
 class MissingRuleError(Exception):
@@ -57,30 +63,26 @@ def _positions(codes):
 def _rewrite_at(codes, i, table):
     """Apply the table rule to the letter pair at codes[i], codes[i+1].
 
-    Returns a list of (Word or None, QScalar) replacement terms, in the
-    rule's term order; None marks a term that vanished.
+    Returns a list of (code tuple or None, QScalar) replacement terms, in
+    the rule's term order; None marks a term that vanished.
     """
     a, b = codes[i], codes[i + 1]
     rhs = table.compiled.get((a, b))
     if rhs is None:
         raise MissingRuleError(LETTERS[a], LETTERS[b])
     left, right = codes[:i], codes[i + 2:]
-    out = []
-    for mid, c in rhs:
-        new = canonical_codes(left + mid + right)
-        out.append((None if new is None else Word(new), c))
-    return out
+    return [(canonical_codes(left + mid + right), c) for mid, c in rhs]
 
 
-def _pick_leftmost(_word, positions, _rng):
+def _pick_leftmost(_codes, positions, _rng):
     return positions[0]
 
 
-def _pick_rightmost(_word, positions, _rng):
+def _pick_rightmost(_codes, positions, _rng):
     return positions[-1]
 
 
-def _pick_random(_word, positions, rng):
+def _pick_random(_codes, positions, rng):
     return rng.choice(positions)
 
 
@@ -91,16 +93,21 @@ _PICKERS = {
 }
 
 
-def _normal_form(word: Word, table, cache: dict, pick, rng) -> dict:
-    """Memoized reduction of a single word; returns {word: coeff}.
+def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
+    """Memoized reduction of a single word; returns {codes: coeff}.
 
     Iterative post-order over the rewrite dag: children of a word are the
     replacement terms of one rule application at the picked position.  The
     picked position is a function of the word (fixed once per cache), so
-    each strategy is deterministic and safely memoizable.
+    each strategy is deterministic and safely memoizable.  Keys of `cache`,
+    of the normal forms it holds and of the pending map are code tuples;
+    a stored normal form is never mutated afterwards.
     """
-    pending: dict[Word, list] = {}
-    stack = [word]
+    nf = cache.get(codes)
+    if nf is not None:
+        return nf
+    pending: dict[tuple, list] = {}
+    stack = [codes]
     while stack:
         cur = stack[-1]
         if cur in cache:
@@ -108,29 +115,34 @@ def _normal_form(word: Word, table, cache: dict, pick, rng) -> dict:
             continue
         children = pending.get(cur)
         if children is None:
-            positions = _positions(cur.codes)
+            positions = _positions(cur)
             if not positions:
                 cache[cur] = {cur: ONE}
                 stack.pop()
                 continue
             i = pick(cur, positions, rng)
             children = [
-                (w, c) for w, c in _rewrite_at(cur.codes, i, table)
-                if w is not None
+                (w, c) for w, c in _rewrite_at(cur, i, table) if w is not None
             ]
             pending[cur] = children
         todo = [w for w, _ in children if w not in cache]
         if todo:
             stack.extend(todo)
             continue
-        acc: dict[Word, QScalar] = {}
-        for w, c in children:
-            for nw, nc in cache[w].items():
-                add_term(acc, nw, c * nc)
+        if len(children) == 1:
+            # one term (a swap rule): the scaled normal form of the child,
+            # whose words are distinct and whose products cannot vanish
+            (w, c), = children
+            acc = {nw: c * nc for nw, nc in cache[w].items()}
+        else:
+            acc = {}
+            for w, c in children:
+                for nw, nc in cache[w].items():
+                    add_term(acc, nw, c * nc)
         cache[cur] = acc
         del pending[cur]
         stack.pop()
-    return cache[word]
+    return cache[codes]
 
 
 def normalize(e: Element, table, strategy: str = "leftmost", seed: int = 0) -> Element:
@@ -146,11 +158,11 @@ def normalize(e: Element, table, strategy: str = "leftmost", seed: int = 0) -> E
     else:
         cache = {}
         rng = random.Random(seed)
-    terms: dict[Word, QScalar] = {}
+    terms: dict[tuple, QScalar] = {}
     for w, c in e.terms():
-        for nw, nc in _normal_form(w, table, cache, pick, rng).items():
-            add_term(terms, nw, c * nc)
-    return Element._raw(terms)
+        for codes, nc in _normal_form(w.codes, table, cache, pick, rng).items():
+            add_term(terms, codes, c * nc)
+    return Element._raw({Word(codes): c for codes, c in terms.items()})
 
 
 def multiply(a: Element, b: Element, table) -> Element:
@@ -184,21 +196,22 @@ def normalize_report(
     """Normalize while counting rule applications (uncached)."""
     pick = _PICKERS[strategy]
     rng = random.Random(seed)
-    agenda = [(w, c) for w, c in e.terms()]
-    done: dict[Word, QScalar] = {}
+    agenda = [(w.codes, c) for w, c in e.terms()]
+    done: dict[tuple, QScalar] = {}
     steps = 0
     while agenda:
-        w, c = agenda.pop()
-        positions = _positions(w.codes)
+        codes, c = agenda.pop()
+        positions = _positions(codes)
         if not positions:
-            add_term(done, w, c)
+            add_term(done, codes, c)
             continue
         steps += 1
-        i = pick(w, positions, rng)
-        for nw, nc in _rewrite_at(w.codes, i, table):
+        i = pick(codes, positions, rng)
+        for nw, nc in _rewrite_at(codes, i, table):
             if nw is not None:
                 agenda.append((nw, c * nc))
-    return NormalizationReport(e, Element._raw(done), steps, strategy)
+    output = Element._raw({Word(w): c for w, c in done.items()})
+    return NormalizationReport(e, output, steps, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -283,40 +296,41 @@ def check_local_confluence(
     covered, introduces = _coverage(table)
     strategies = ["leftmost", "rightmost"] + [f"random:{s}" for s in seeds]
 
-    # Enumerate candidate words as signed-letter tuples, prefiltered by
+    # Enumerate candidate words as letter-code tuples, prefiltered by
     # pairwise rule coverage (with introduced-letter closure).
     ok_sets: dict[frozenset, bool] = {}
     subtree = [1] * (max_len + 1)  # sequences rooted at depth d, incl. the root
     for d in range(max_len - 1, -1, -1):
         subtree[d] = 1 + len(letters) * subtree[d + 1]
-    words: list[Word] = []
-    seen: set[Word] = set()
+    letter_codes = [(name, GENERATORS[name].position) for name in letters]
+    words: list[tuple] = []
+    seen: set[tuple] = set()
     skipped = 0
     stack = [((), frozenset())]
     while stack:
         prefix, nameset = stack.pop()
-        for name in letters:
+        for name, code in letter_codes:
             names = nameset | {name}
             ok = ok_sets.get(names)
             if ok is None:
                 ok = _closure_ok(names, covered, introduces)
                 ok_sets[names] = ok
-            seq = prefix + (name,)
+            seq = prefix + (code,)
             if not ok:
                 skipped += subtree[len(seq)]
                 continue
-            w = make_word((n, 1) for n in seq)
+            w = canonical_codes(seq)
             if w is not None and w not in seen:
                 seen.add(w)
                 words.append(w)
             if len(seq) < max_len:
                 stack.append((seq, names))
 
-    reference: dict[Word, Element] = {}
+    # Normal forms are compared as the memo dicts themselves: stored forms
+    # are never mutated, so no copy is needed.
     cache = table.normal_form_cache("leftmost")
-    for w in words:
-        nf = _normal_form(w, table, cache, _pick_leftmost, None)
-        reference[w] = Element._raw(dict(nf))
+    reference = [_normal_form(w, table, cache, _pick_leftmost, None)
+                 for w in words]
 
     divergences = []
     for strat in strategies[1:]:
@@ -327,10 +341,9 @@ def check_local_confluence(
             rng = random.Random(seed)
             pick = _pick_random
         alt_cache: dict = {}
-        for w in words:
-            nf = Element._raw(dict(_normal_form(w, table, alt_cache, pick, rng)))
-            if nf != reference[w]:
-                divergences.append((w, "leftmost", strat))
+        for w, ref in zip(words, reference):
+            if _normal_form(w, table, alt_cache, pick, rng) != ref:
+                divergences.append((Word(w), "leftmost", strat))
     return ConfluenceReport(
         max_len=max_len,
         strategies=tuple(strategies),

@@ -149,16 +149,22 @@ class QScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
         if len(a) == 1 and len(b) == 1:
+            # monomial times monomial, the rule table's common case: an
+            # int product is already in canonical stored form
             (ha, ca), = a.items()
             (hb, cb), = b.items()
-            return QScalar._raw({ha + hb: _exact(ca * cb)})
+            c = ca * cb
+            out = _new(QScalar)  # QScalar._raw, without the call
+            out._terms = {ha + hb: c if type(c) is int else _exact(c)}
+            return out
+        if not a or not b:
+            return _ZERO
         terms = {}
         for ha, ca in a.items():
             for hb, cb in b.items():
@@ -287,6 +293,7 @@ def _rational_sqrt(v: Fraction) -> Fraction | None:
 
 
 _F0 = Fraction(0)
+_new = object.__new__
 _ZERO = QScalar._raw({})
 _ONE = QScalar._raw({0: 1})
 

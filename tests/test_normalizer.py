@@ -188,4 +188,6 @@ def test_rewrite_at_agrees_with_reference(names):
                 _rewrite_at(word.codes, i, table)
             assert (info.value.left, info.value.right) == (exc.left, exc.right)
             continue
-        assert _rewrite_at(word.codes, i, table) == expected
+        assert _rewrite_at(word.codes, i, table) == [
+            (None if w is None else w.codes, c) for w, c in expected
+        ]
