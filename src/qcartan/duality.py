@@ -161,6 +161,20 @@ def _pair_letters(letters, word: Word, table) -> QScalar:
     return total
 
 
+def _memo_pair_sum(u: Element, f: Element, memo: dict) -> QScalar | None:
+    """sum uc*fc*<uw, fw> over the words as given, read from the memo;
+    None as soon as a pair of words is missing."""
+    total = QScalar.zero()
+    for uw, uc in u.terms():
+        for fw, fc in f.terms():
+            value = memo.get((uw, fw))
+            if value is None:
+                return None
+            if value:
+                total = total + uc * fc * value
+    return total
+
+
 def pair(u: Element, f, table) -> QScalar:
     """Bilinear duality pairing <u, f>.
 
@@ -177,19 +191,15 @@ def pair(u: Element, f, table) -> QScalar:
         if sector is not Sector.COORD:
             raise ValueError("pairing is defined on the coordinate algebra")
     memo = table.memo("pair")
-    if not all((uw, fw) in memo for uw, _ in u.terms() for fw, _ in f.terms()):
+    total = _memo_pair_sum(u, f, memo)
+    if total is None:
         u, f = normalize(u, table), normalize(f, table)
         for uw, _ in u.terms():
             for fw, _ in f.terms():
                 if (uw, fw) not in memo:
                     letters = [g.name for g in uw.letters()]
                     memo[(uw, fw)] = _pair_letters(letters, fw, table)
-    total = QScalar.zero()
-    for uw, uc in u.terms():
-        for fw, fc in f.terms():
-            value = memo[(uw, fw)]
-            if value:
-                total = total + uc * fc * value
+        total = _memo_pair_sum(u, f, memo)
     return total
 
 

@@ -129,16 +129,10 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
         if todo:
             stack.extend(todo)
             continue
-        if len(children) == 1:
-            # one term (a swap rule): the scaled normal form of the child,
-            # whose words are distinct and whose products cannot vanish
-            (w, c), = children
-            acc = {nw: c * nc for nw, nc in cache[w].items()}
-        else:
-            acc = {}
-            for w, c in children:
-                for nw, nc in cache[w].items():
-                    add_term(acc, nw, c * nc)
+        acc = {}
+        for w, c in children:
+            for nw, nc in cache[w].items():
+                add_term(acc, nw, c * nc)
         cache[cur] = acc
         del pending[cur]
         stack.pop()

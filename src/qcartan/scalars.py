@@ -160,9 +160,7 @@ class QScalar:
             (ha, ca), = a.items()
             (hb, cb), = b.items()
             c = ca * cb
-            out = _new(QScalar)  # QScalar._raw, without the call
-            out._terms = {ha + hb: c if type(c) is int else _exact(c)}
-            return out
+            return QScalar._raw({ha + hb: c if type(c) is int else _exact(c)})
         if not a or not b:
             return _ZERO
         terms = {}
@@ -293,7 +291,6 @@ def _rational_sqrt(v: Fraction) -> Fraction | None:
 
 
 _F0 = Fraction(0)
-_new = object.__new__
 _ZERO = QScalar._raw({})
 _ONE = QScalar._raw({0: 1})
 
