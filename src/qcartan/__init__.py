@@ -27,9 +27,12 @@ from .normalizer import (
     normalize,
     normalize_report,
 )
+from .report import CheckReport, CheckResult
 from .calculus import (
     act,
+    check_d2,
     check_d_expansion,
+    check_leibniz,
     check_omega_tables,
     check_t_realization,
     exterior_d,
@@ -37,7 +40,7 @@ from .calculus import (
     omega_expand,
 )
 from .cartan import (
-    TableReport,
+    check_cartan_tables,
     check_l_realization,
     inner_apply,
     lie_apply,

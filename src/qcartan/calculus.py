@@ -15,13 +15,16 @@ with the operator words dropped.  D and A live in the relation table's
 "d" and "act" memos (:meth:`RelationTable.memo`), so they are filled once
 per table and never shared with another table; the shared loop is
 :func:`~qcartan.words.linear_image`.
+
+The identity checks (:func:`check_d2`, :func:`check_leibniz`,
+:func:`check_d_expansion`, :func:`check_omega_tables`,
+:func:`check_t_realization`) sweep basis words and return a
+:class:`~qcartan.report.CheckReport` with one row per word or word pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
+from .report import CheckReport, CheckResult
 from .scalars import ONE, QScalar
 from .words import (
     Element,
@@ -197,43 +200,7 @@ def maurer_substitute(e: Element, table) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-class CheckResult(NamedTuple):
-    """One verdict; also the (name, passed, detail) row the CLI prints."""
-
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def __str__(self):
-        verdict = "PASS" if self.passed else "FAIL"
-        out = f"{verdict} {self.name}"
-        return out + (f": {self.detail}" if self.detail else "")
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    title: str
-    results: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    @property
-    def failures(self):
-        return [r for r in self.results if not r.passed]
-
-    def __str__(self):
-        head = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"{head} {self.title}: {len(self.results)} checks, "
-            f"{len(self.failures)} failures"
-        ]
-        lines.extend(f"  {r}" for r in self.failures)
-        return "\n".join(lines)
-
+# basis sweeps and identity checks
 
 def coordinate_monomials(max_degree: int, min_x: int = 0):
     """Basis 0-form words x^k y^l z^m with |k| + l + m <= max_degree.
@@ -271,6 +238,38 @@ def basis_forms(max_degree: int, max_form_degree: int = 3, min_x: int = 0):
             assert w is not None
             out.append(w)
     return out
+
+
+def check_d2(max_degree: int, table) -> CheckReport:
+    """d(d w) = 0 on every basis form of form degree <= 2 and coordinate
+    degree <= max_degree, negative x powers included."""
+    results = []
+    for w in basis_forms(max_degree, max_form_degree=2, min_x=-max_degree):
+        dd = exterior_d(exterior_d(Element.from_word(w), table), table)
+        ok = dd.is_zero()
+        results.append(CheckResult(f"d^2 {w}", ok, "" if ok else str(dd)))
+    return CheckReport("d squared vanishes", tuple(results))
+
+
+def check_leibniz(max_degree: int, table) -> CheckReport:
+    """d(ab) = (da) b + (-1)^deg(a) a (db) on every pair of basis forms of
+    positive length whose lengths sum to at most max_degree."""
+    forms = [
+        w for w in basis_forms(max_degree, min_x=-max_degree)
+        if 1 <= len(w) <= max_degree - 1
+    ]
+    results = []
+    for a in forms:
+        for b in forms:
+            if len(a) + len(b) > max_degree:
+                continue
+            ea, eb = Element.from_word(a), Element.from_word(b)
+            lhs = exterior_d(multiply(ea, eb, table), table)
+            sign = (-1) ** a.form_degree()
+            rhs = multiply(exterior_d(ea, table), eb, table) + \
+                sign * multiply(ea, exterior_d(eb, table), table)
+            results.append(CheckResult.compare(f"leibniz {a} | {b}", lhs, rhs))
+    return CheckReport("graded Leibniz rule", tuple(results))
 
 
 def check_d_expansion(f: Element | None, max_degree: int, table) -> CheckReport:
@@ -339,11 +338,8 @@ def check_omega_tables(max_degree: int, table) -> CheckReport:
                 e = Element.from_word(word)
                 direct = omega_expand(e, table)
                 via_rules = omega_expand(normalize(e, table), table)
-                ok = direct == via_rules
-                results.append(CheckResult(
-                    f"expansion soundness {word}", ok,
-                    "" if ok else f"{direct} != {via_rules}",
-                ))
+                results.append(CheckResult.compare(
+                    f"expansion soundness {word}", direct, via_rules))
     return CheckReport("one-form tables by expansion", tuple(results))
 
 
@@ -402,9 +398,6 @@ def check_t_realization(max_degree: int, table) -> CheckReport:
         right = Element.zero()
         for w_img, t in zip(ws, ts):
             right = right + multiply(w_img, act(t, target, table), table)
-        ok = left == right
-        results.append(CheckResult(
-            f"d = omega.T on {mono}", ok,
-            "" if ok else f"{left} != {right}",
-        ))
+        results.append(CheckResult.compare(f"d = omega.T on {mono}",
+                                           left, right))
     return CheckReport("Lie generator realization", tuple(results))

@@ -13,12 +13,16 @@ once, through the real :func:`act`, :func:`lie_apply` or multiplication
 (the one-form expansion included), and kept in the relation table's
 "letter" memo.  :func:`verify_table` still applies both sides of every
 rule to every basis form; only the repeated per-word work is read back.
+
+:func:`verify_table`, :func:`check_cartan_tables` and
+:func:`check_l_realization` return a :class:`~qcartan.report.CheckReport`
+whose rows are a summary row (carrying the relation or case count, also
+kept as ``relations_checked``) followed by one row per failing relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .report import CheckReport, CheckResult
 from .words import Element, Sector, Word, linear_image, make_word
 from .normalizer import multiply
 from .calculus import (
@@ -99,29 +103,6 @@ def apply_operator(e: Element, target: Element, table,
     return out
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table_id: str
-    relations_checked: int
-    max_degree: int
-    failures: tuple  # (relation, witness word, lhs value, rhs value)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def __str__(self):
-        head = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"{head} {self.table_id}: {self.relations_checked} relations as "
-            f"operator identities, coordinate degree <= {self.max_degree}, "
-            f"{len(self.failures)} failures"
-        ]
-        for relation, witness, lhs, rhs in self.failures:
-            lines.append(f"  {relation} on {witness}: {lhs} != {rhs}")
-        return "\n".join(lines)
-
-
 VERIFIABLE_TABLES = (
     "inner_coord", "inner_partial", "inner_diff", "inner_inner",
     "lie_coord", "lie_diff", "lie_partial", "lie_inner", "lie_lie",
@@ -129,11 +110,13 @@ VERIFIABLE_TABLES = (
 )
 
 
-def verify_table(table_id: str, max_degree: int, table) -> TableReport:
+def verify_table(table_id: str, max_degree: int, table) -> CheckReport:
     """Check every relation of the named table as an operator identity.
 
     Both sides are applied, through the concrete actions, to all basis
-    forms of form degree <= 3 and coordinate degree <= max_degree.
+    forms of form degree <= 3 and coordinate degree <= max_degree.  The
+    rows are the summary row "table <id>" and one row per failing
+    relation, with its first failing basis form.
     """
     if table_id not in VERIFIABLE_TABLES:
         raise ValueError(f"unknown table id {table_id!r}")
@@ -150,16 +133,28 @@ def verify_table(table_id: str, max_degree: int, table) -> TableReport:
             lhs = apply_operator_word(lhs_word, target, table, expand_omega)
             rhs = apply_operator(rule.rhs, target, table, expand_omega)
             if lhs != rhs:
-                failures.append(
-                    (relation, str(next(iter(target.terms()))[0]),
-                     str(lhs), str(rhs))
-                )
+                witness = next(iter(target.terms()))[0]
+                failures.append(CheckResult(
+                    f"table {table_id} {relation} on {witness}", False,
+                    f"{lhs} != {rhs}"))
                 break
-    return TableReport(table_id, len(rules), max_degree, tuple(failures))
+    summary = CheckResult(f"table {table_id}", not failures,
+                          f"{len(rules)} relations")
+    return CheckReport(f"table {table_id}", (summary, *failures), len(rules))
 
 
-def verify_all_tables(max_degree: int, table) -> list[TableReport]:
+def verify_all_tables(max_degree: int, table) -> list[CheckReport]:
     return [verify_table(t, max_degree, table) for t in VERIFIABLE_TABLES]
+
+
+def check_cartan_tables(max_degree: int, table) -> CheckReport:
+    """The rows of every verifiable table, in VERIFIABLE_TABLES order."""
+    reports = verify_all_tables(max_degree, table)
+    return CheckReport(
+        "Cartan tables as operator identities",
+        tuple(r for report in reports for r in report.results),
+        sum(report.relations_checked for report in reports),
+    )
 
 
 def l_realization(table) -> dict[str, Element]:
@@ -178,9 +173,10 @@ def l_realization(table) -> dict[str, Element]:
     }
 
 
-def check_l_realization(max_degree: int, table) -> TableReport:
+def check_l_realization(max_degree: int, table) -> CheckReport:
     """Cartan-formula Lie derivative against its x^-1 T realization on all
-    basis 0-forms up to the degree bound."""
+    basis 0-forms up to the degree bound: a summary row
+    "l-realization (<n> cases)", then one row per failing case."""
     images = l_realization(table)
     failures = []
     count = 0
@@ -191,7 +187,8 @@ def check_l_realization(max_degree: int, table) -> TableReport:
             via_real = act(images[a], target, table)
             count += 1
             if via_cartan != via_real:
-                failures.append(
-                    (f"L{a}", str(mono), str(via_cartan), str(via_real))
-                )
-    return TableReport("l_realization", count, max_degree, tuple(failures))
+                failures.append(CheckResult(
+                    f"l-realization L{a} on {mono}", False,
+                    f"{via_cartan} != {via_real}"))
+    summary = CheckResult(f"l-realization ({count} cases)", not failures)
+    return CheckReport("l-realization", (summary, *failures), count)

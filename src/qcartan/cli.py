@@ -2,9 +2,11 @@
 
 Values print in a fixed canonical form (terms in normal order, scalars
 with ascending q exponents), so identical invocations are byte-identical.
-Check suites emit one verdict per line in json-lines mode and per-suite
-summaries in text mode; the exit code is 0 exactly when everything
-passed.
+Each check suite is one entry of a name -> check-function table; every
+check returns a :class:`~qcartan.report.CheckReport`.  The rows of a
+suite are sorted, then printed one JSON record per row in json-lines
+mode, or as ``str(CheckReport(suite, rows))`` in text mode.  The exit
+code is 0 exactly when everything passed.
 """
 
 from __future__ import annotations
@@ -16,18 +18,13 @@ import sys
 from fractions import Fraction
 
 from . import calculus, cartan, duality, hopf
-from .normalizer import MissingRuleError, check_local_confluence, multiply, normalize
+from .normalizer import MissingRuleError, check_local_confluence, normalize
 from .parser import ParseError, parse_element
 from .relations import RelationError, builtin_presentation, load_presentation_file
+from .report import CheckReport
 from .words import Element
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-
-SUITES = (
-    "d2", "leibniz", "confluence", "d-expansion", "omega", "t-real",
-    "cartan-tables", "l-real", "hopf-A", "hopf-U", "dual-relations",
-    "dual-hopf", "identification", "all",
-)
 
 
 def _resolve_table(args):
@@ -87,105 +84,34 @@ def _max_degree(text: str) -> int:
 
 # --- check suites ----------------------------------------------------------
 
-def _suite_d2(max_degree: int, table):
-    rows = []
-    for w in calculus.basis_forms(max_degree, max_form_degree=2,
-                                  min_x=-max_degree):
-        target = Element.from_word(w)
-        dd = calculus.exterior_d(calculus.exterior_d(target, table), table)
-        rows.append((f"d^2 {w}", dd.is_zero(), "" if dd.is_zero() else str(dd)))
-    return rows
+# suite name -> check(max_degree, seeds, table) returning a CheckReport;
+# the Hopf and dual-transposition product lengths are capped at 3
+_CHECKS = {
+    "d2": lambda n, s, t: calculus.check_d2(n, t),
+    "leibniz": lambda n, s, t: calculus.check_leibniz(n, t),
+    "confluence": lambda n, s, t: check_local_confluence(t, max(n, 3), s),
+    "d-expansion": lambda n, s, t: calculus.check_d_expansion(None, n, t),
+    "omega": lambda n, s, t: calculus.check_omega_tables(n, t),
+    "t-real": lambda n, s, t: calculus.check_t_realization(n, t),
+    "cartan-tables": lambda n, s, t: cartan.check_cartan_tables(n, t),
+    "l-real": lambda n, s, t: cartan.check_l_realization(n, t),
+    "hopf-A": lambda n, s, t: hopf.check_hopf_axioms("A", min(n, 3), t),
+    "hopf-U": lambda n, s, t: hopf.check_hopf_axioms("U", min(n, 3), t),
+    "dual-relations": lambda n, s, t: duality.check_dual_relations(
+        max(n, 2), t),
+    "dual-hopf": lambda n, s, t: duality.check_dual_hopf(min(n, 3), t),
+    "identification": lambda n, s, t: duality.check_identification(t),
+}
 
-
-def _suite_leibniz(max_degree: int, table):
-    rows = []
-    forms = [
-        w for w in calculus.basis_forms(max_degree, min_x=-max_degree)
-        if 1 <= len(w) <= max_degree - 1
-    ]
-    for a in forms:
-        for b in forms:
-            if len(a) + len(b) > max_degree:
-                continue
-            ea, eb = Element.from_word(a), Element.from_word(b)
-            product = multiply(ea, eb, table)
-            lhs = calculus.exterior_d(product, table)
-            sign = (-1) ** a.form_degree()
-            rhs = multiply(calculus.exterior_d(ea, table), eb, table) + \
-                sign * multiply(ea, calculus.exterior_d(eb, table), table)
-            ok = lhs == rhs
-            rows.append((f"leibniz {a} | {b}", ok,
-                         "" if ok else f"{lhs} != {rhs}"))
-    return rows
-
-
-def _suite_confluence(max_degree: int, seeds, table):
-    report = check_local_confluence(table, max_degree, seeds=seeds)
-    rows = [(
-        f"confluence length<={report.max_len} "
-        f"strategies={','.join(report.strategies)}",
-        report.passed,
-        f"{report.words_checked} words checked, "
-        f"{report.words_skipped} sequences skipped",
-    )]
-    for word, sa, sb in report.divergences:
-        rows.append((f"divergence {word}", False, f"{sa} != {sb}"))
-    return rows
-
-
-def _suite_cartan_tables(max_degree: int, table):
-    rows = []
-    for table_id in cartan.VERIFIABLE_TABLES:
-        report = cartan.verify_table(table_id, max_degree, table)
-        rows.append((
-            f"table {table_id}", report.passed,
-            f"{report.relations_checked} relations",
-        ))
-        for relation, witness, lhs, rhs in report.failures:
-            rows.append((f"table {table_id} {relation} on {witness}",
-                         False, f"{lhs} != {rhs}"))
-    return rows
-
-
-def _suite_l_real(max_degree: int, table):
-    report = cartan.check_l_realization(max_degree, table)
-    rows = [(f"l-realization ({report.relations_checked} cases)",
-             report.passed, "")]
-    for relation, witness, lhs, rhs in report.failures:
-        rows.append((f"l-realization {relation} on {witness}", False,
-                     f"{lhs} != {rhs}"))
-    return rows
+SUITES = (*_CHECKS, "all")
 
 
 def run_suite(name: str, max_degree: int, seeds, table):
-    """Rows (check name, passed, detail) for one suite."""
-    if name == "d2":
-        return _suite_d2(max_degree, table)
-    if name == "leibniz":
-        return _suite_leibniz(max_degree, table)
-    if name == "confluence":
-        return _suite_confluence(max(max_degree, 3), seeds, table)
-    if name == "d-expansion":
-        return calculus.check_d_expansion(None, max_degree, table).results
-    if name == "omega":
-        return calculus.check_omega_tables(max_degree, table).results
-    if name == "t-real":
-        return calculus.check_t_realization(max_degree, table).results
-    if name == "cartan-tables":
-        return _suite_cartan_tables(max_degree, table)
-    if name == "l-real":
-        return _suite_l_real(max_degree, table)
-    if name == "hopf-A":
-        return hopf.check_hopf_axioms("A", min(max_degree, 3), table).results
-    if name == "hopf-U":
-        return hopf.check_hopf_axioms("U", min(max_degree, 3), table).results
-    if name == "dual-relations":
-        return duality.check_dual_relations(max(max_degree, 2), table).results
-    if name == "dual-hopf":
-        return duality.check_dual_hopf(min(max_degree, 3), table).results
-    if name == "identification":
-        return duality.check_identification(table).results
-    raise ValueError(f"unknown suite {name!r}")
+    """The CheckResult rows of one suite."""
+    check = _CHECKS.get(name)
+    if check is None:
+        raise ValueError(f"unknown suite {name!r}")
+    return check(max_degree, seeds, table).results
 
 
 def _cmd_check(args) -> int:
@@ -194,22 +120,17 @@ def _cmd_check(args) -> int:
     seeds = (args.seed,) if args.seed is not None else DEFAULT_SEEDS
     all_ok = True
     for suite in suites:
-        rows = sorted(run_suite(suite, args.max_degree, seeds, table))
-        failures = [r for r in rows if not r[1]]
-        if failures:
-            all_ok = False
+        report = CheckReport(suite, tuple(sorted(
+            run_suite(suite, args.max_degree, seeds, table))))
+        all_ok = all_ok and report.passed
         if args.format == "json-lines":
-            for name, ok, detail in rows:
+            for name, ok, detail in report.results:
                 print(json.dumps(
                     {"suite": suite, "check": name,
                      "status": "pass" if ok else "fail", "detail": detail},
                     sort_keys=True))
         else:
-            verdict = "PASS" if not failures else "FAIL"
-            print(f"{verdict} {suite}: {len(rows)} checks, "
-                  f"{len(failures)} failures")
-            for name, _, detail in failures:
-                print(f"  FAIL {name}" + (f": {detail}" if detail else ""))
+            print(report)
     if args.format != "json-lines":
         print("PASS all suites" if all_ok else "FAIL: see above")
     return 0 if all_ok else 1

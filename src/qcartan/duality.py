@@ -33,7 +33,7 @@ from fractions import Fraction
 from .scalars import ONE, QScalar
 from .words import Element, Sector, Word, make_word
 from .normalizer import multiply, normalize, commutator
-from .calculus import CheckReport, CheckResult
+from .report import CheckReport, CheckResult
 from .hopf import HopfPresentation, antipode, coproduct, tensor
 
 EPS_CONVENTION_NOTE = (
@@ -237,11 +237,9 @@ def check_dual_relations(max_exp: int, table) -> CheckReport:
             QScalar.rational(f.k + 1) if f.l == 1 and f.m == 0
             else QScalar.zero()
         )
-        ok = got == expected
-        results.append(CheckResult(
-            f"<XY, {f}> supported on the Y pairing", ok,
-            "" if ok else f"{got} != {expected}"))
-    return CheckReport("dual commutation relations", tuple(results),)
+        results.append(CheckResult.compare(
+            f"<XY, {f}> supported on the Y pairing", got, expected))
+    return CheckReport("dual commutation relations", tuple(results))
 
 
 def check_dual_hopf(max_exp: int, table) -> CheckReport:
@@ -279,20 +277,16 @@ def check_dual_hopf(max_exp: int, table) -> CheckReport:
                 for c, left, right in du:
                     if left[i]:
                         rhs = rhs + c * left[i] * right[j]
-                ok = lhs == rhs
-                rows[label].append(CheckResult(
-                    f"<{label}, {f_name}.{g_name}> via coproduct", ok,
-                    "" if ok else f"{lhs} != {rhs}"))
+                rows[label].append(CheckResult.compare(
+                    f"<{label}, {f_name}.{g_name}> via coproduct", lhs, rhs))
     for label_rows in rows.values():
         results.extend(label_rows)
     # unit vs counit on the basis
     for f, (element, name) in zip(monos, basis):
         got = pair(Element.one(), element, table)
         expected = _unit_pairing(f.k, f.l, f.m)
-        ok = got == expected
-        results.append(CheckResult(
-            f"<1, {name}> = eps({name})", ok,
-            "" if ok else f"{got} != {expected}"))
+        results.append(CheckResult.compare(
+            f"<1, {name}> = eps({name})", got, expected))
     # antipode transposition on the generators
     for label, u in gens.items():
         su = antipode(dual, u, table)
@@ -300,10 +294,8 @@ def check_dual_hopf(max_exp: int, table) -> CheckReport:
             f = Element.from_letter(name)
             lhs = pair(su, f, table)
             rhs = pair(u, antipode("A", f, table), table)
-            ok = lhs == rhs
-            results.append(CheckResult(
-                f"<S({label}), {name}> = <{label}, S({name})>", ok,
-                "" if ok else f"{lhs} != {rhs}"))
+            results.append(CheckResult.compare(
+                f"<S({label}), {name}> = <{label}, S({name})>", lhs, rhs))
     return CheckReport("duality vs Hopf structure", tuple(results))
 
 
@@ -338,17 +330,12 @@ def check_identification(table) -> CheckReport:
         t_sub = subst[name]
         got = coproduct(dual, t_sub, table)
         expected = tensor(t_sub, one) + tensor(multiply(k2, one, table), t_sub)
-        ok = got == expected
-        results.append(CheckResult(
+        results.append(CheckResult.compare(
             f"coproduct of substituted {name} matches the Lie presentation",
-            ok, "" if ok else f"{got} != {expected}"))
-
-        got_s = antipode(dual, t_sub, table)
-        expected_s = -multiply(kinv2, t_sub, table)
-        ok = got_s == expected_s
-        results.append(CheckResult(
+            got, expected))
+        results.append(CheckResult.compare(
             f"antipode of substituted {name} matches the Lie presentation",
-            ok, "" if ok else f"{got_s} != {expected_s}"))
+            antipode(dual, t_sub, table), -multiply(kinv2, t_sub, table)))
     got = coproduct(dual, subst["Tx"], table)
     expected = tensor(subst["Tx"], one) + tensor(one, subst["Tx"])
     results.append(CheckResult(

@@ -16,7 +16,7 @@ from .scalars import ONE, QScalar
 from .words import (EMPTY_WORD, Element, Word, add_term, canonical_codes,
                     concat, make_word, signed_letter)
 from .normalizer import multiply, normalize
-from .calculus import CheckReport, CheckResult
+from .report import CheckReport, CheckResult
 
 
 class TensorElement:
@@ -330,10 +330,8 @@ def check_hopf_axioms(alg, max_len: int, table) -> CheckReport:
 
         cop_left = map_slot(d, 0, lambda wd: coproduct(pres, Element.from_word(wd), table))
         cop_right = map_slot(d, 1, lambda wd: coproduct(pres, Element.from_word(wd), table))
-        ok = cop_left == cop_right
-        results.append(CheckResult(
-            f"{pres.name} coassociativity {w}", ok,
-            "" if ok else f"{cop_left} != {cop_right}"))
+        results.append(CheckResult.compare(
+            f"{pres.name} coassociativity {w}", cop_left, cop_right))
 
         collapse_l = Element.zero()
         collapse_r = Element.zero()
@@ -369,8 +367,6 @@ def check_hopf_axioms(alg, max_len: int, table) -> CheckReport:
             ea, eb = Element.from_word(a), Element.from_word(b)
             lhs = coproduct(pres, multiply(ea, eb, table), table)
             rhs = tensor_mul(delta[a], delta[b], table)
-            ok = lhs == rhs
-            results.append(CheckResult(
-                f"{pres.name} coproduct homomorphism {a} | {b}", ok,
-                "" if ok else f"{lhs} != {rhs}"))
+            results.append(CheckResult.compare(
+                f"{pres.name} coproduct homomorphism {a} | {b}", lhs, rhs))
     return CheckReport(f"Hopf axioms ({pres.name})", tuple(results))

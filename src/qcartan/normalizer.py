@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .report import CheckResult
 from .scalars import ONE, QScalar
 from .words import GENERATORS, LETTERS, Element, Word, add_term, canonical_codes
 
@@ -223,6 +224,20 @@ class ConfluenceReport:
     @property
     def passed(self) -> bool:
         return not self.divergences
+
+    @property
+    def results(self) -> tuple:
+        """The verdict rows: a summary row, then one row per divergence."""
+        summary = CheckResult(
+            f"confluence length<={self.max_len} "
+            f"strategies={','.join(self.strategies)}",
+            self.passed,
+            f"{self.words_checked} words checked, "
+            f"{self.words_skipped} sequences skipped",
+        )
+        return (summary, *(CheckResult(f"divergence {word}", False,
+                                       f"{sa} != {sb}")
+                           for word, sa, sb in self.divergences))
 
     def __str__(self):
         verdict = "PASS" if self.passed else "FAIL"

@@ -7,7 +7,9 @@
 
 Numbers are exact rationals (`3`, `3/4`); `q` powers admit half-integer
 exponents (`q^1/2`); every exponent is bounded in absolute value by
-:data:`~qcartan.words.MAX_EXPONENT`.  Unicode spellings of the operator
+:data:`~qcartan.words.MAX_EXPONENT`, and parentheses nest at most
+:data:`MAX_NESTING` deep, so that parsing and evaluating the tree stay
+far inside Python's recursion limit.  Unicode spellings of the operator
 letters are accepted on input; output is plain ASCII.
 """
 
@@ -19,6 +21,12 @@ from fractions import Fraction
 
 from .scalars import QScalar
 from .words import Element, GENERATORS, MAX_EXPONENT, make_word
+
+# Each nesting level costs four parser frames, up to three frames of
+# to_element or format_expr, and up to ten when two trees are compared
+# with ==, so 50 levels stay well under the default recursion limit of
+# 1000.
+MAX_NESTING = 50
 
 
 class ParseError(ValueError):
@@ -130,6 +138,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.i]
@@ -227,8 +236,13 @@ class _Parser:
                 raise ParseError(f"unknown generator name {value!r}", pos)
             return Gen(name)
         if kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 

@@ -5,7 +5,9 @@ import pytest
 from qcartan.calculus import (
     act,
     basis_forms,
+    check_d2,
     check_d_expansion,
+    check_leibniz,
     check_omega_tables,
     check_t_realization,
     coordinate_monomials,
@@ -56,6 +58,9 @@ def test_d_squared_vanishes_on_samples(table):
     for text in ("x*y*z", "x^-2*y", "dx*y^2", "y*dz*x", "x^3*z^2"):
         e = ne(text, table)
         assert exterior_d(exterior_d(e, table), table).is_zero(), text
+    report = check_d2(1, table)
+    assert report.passed, report
+    assert len(report.results) == 35
 
 
 def test_graded_leibniz_on_samples(table):
@@ -67,6 +72,10 @@ def test_graded_leibniz_on_samples(table):
         rhs = multiply(exterior_d(a, table), b, table) + \
             sign * multiply(a, exterior_d(b, table), table)
         assert lhs == rhs, (ta, tb)
+    report = check_leibniz(2, table)
+    assert report.passed, report
+    assert len(report.results) == 49
+    assert report.results[0] == ("leibniz x^-1 | x^-1", True, "")
 
 
 def test_act_partial_powers(table):

@@ -110,6 +110,8 @@ def test_tables_are_operator_identities(table_id, table):
     assert report.passed, report
     expected = 3 if table_id in ("inner_inner", "lie_lie") else 9
     assert report.relations_checked == expected
+    assert report.results[0] == (f"table {table_id}", True,
+                                 f"{expected} relations")
 
 
 def test_verify_table_rejects_unknown_id(table):
@@ -136,3 +138,5 @@ def test_check_l_realization_passes(table):
     report = check_l_realization(3, table)
     assert report.passed, report
     assert report.relations_checked > 0
+    assert report.results[0].name == \
+        f"l-realization ({report.relations_checked} cases)"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -136,6 +137,60 @@ def test_check_all_suite_counts(capsys):
         "PASS identification: 9 checks, 0 failures",
         "PASS all suites",
     ]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "d4f3151167a1eea00075368257b3ff80"),
+    ("json-lines", "94b3831d6eb49dc7e752b7da023bb6cc"),
+])
+def test_check_all_output_bytes(capsys, fmt, digest):
+    # Every row name and detail of every suite, byte for byte.
+    code, out, _ = run(capsys, "check", "all", "--max-degree", "2",
+                       "--format", fmt)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def corrupt_table_path(tmp_path_factory):
+    text = format_presentation(builtin_presentation())
+    good, bad = "x . dy -> (q) dy . x", "x . dy -> (2*q) dy . x"
+    assert good in text
+    path = tmp_path_factory.mktemp("tables") / "corrupt.rel"
+    path.write_text(text.replace(good, bad), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("suite, head, pinned", [
+    ("confluence", "FAIL confluence: 16 checks, 16 failures", [
+        "  FAIL confluence length<=3 strategies=leftmost,rightmost,"
+        "random:1,random:2,random:3,random:4,random:5: "
+        "5529 words checked, 8518 sequences skipped",
+        "  FAIL divergence Lx*x*dy: leftmost != random:1",
+        "  FAIL divergence px*x*dy: leftmost != rightmost",
+    ]),
+    ("cartan-tables", "FAIL cartan-tables: 16 checks, 10 failures", [
+        "  FAIL table inner_coord: 9 relations",
+        "  FAIL table inner_coord iy*x on dy: (2*q) x != (q) x",
+        "  FAIL table lie_lie Ly*Lx on x*y: 1 != 2",
+    ]),
+    ("l-real", "FAIL l-real: 2 checks, 2 failures", [
+        "  FAIL l-realization (30 cases)",
+        "  FAIL l-realization Ly on x*y: (2*q) x != (q) x",
+    ]),
+])
+def test_check_failure_rows_on_corrupt_table(capsys, corrupt_table_path,
+                                             suite, head, pinned):
+    code, out, _ = run(capsys, "check", suite, "--max-degree", "2",
+                       "--table", corrupt_table_path)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == head
+    assert lines[1] == pinned[0]
+    for line in pinned:
+        assert line in lines
+    assert len(lines) == int(head.split()[-2]) + 2
+    assert lines[-1] == "FAIL: see above"
 
 
 def test_check_identification_text(capsys):

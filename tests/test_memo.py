@@ -10,8 +10,8 @@ suite on the same table adds no entries.
 
 from hypothesis import given, settings, strategies as st
 
-from qcartan.calculus import _d_factor, act, basis_forms, exterior_d
-from qcartan.cartan import apply_operator_word, lie_apply
+from qcartan.calculus import _d_factor, act, basis_forms, check_d2, exterior_d
+from qcartan.cartan import apply_operator_word, check_cartan_tables, lie_apply
 from qcartan.cli import main, run_suite
 from qcartan.duality import _pair_letters, pair
 from qcartan.normalizer import multiply, normalize
@@ -186,6 +186,8 @@ def test_checker_still_fails_on_corrupt_table_after_builtin_run(
                  "--table", str(path)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("PASS d2") and "\nFAIL d2" in out
+    corrupt = load_presentation(path.read_text(encoding="utf-8"))
+    assert check_d2(2, corrupt).passed is False
 
 
 def test_second_cartan_tables_run_adds_no_entries():
@@ -193,5 +195,7 @@ def test_second_cartan_tables_run_adds_no_entries():
     run_suite("cartan-tables", 2, (1,), table)
     info = table.cache_info()
     assert {"normal_form.leftmost", "d", "act", "letter"} <= set(info)
-    run_suite("cartan-tables", 2, (1,), table)
+    report = check_cartan_tables(2, table)
+    assert report.results == run_suite("cartan-tables", 2, (1,), table)
+    assert report.relations_checked == 78
     assert table.cache_info() == info

@@ -131,3 +131,15 @@ def test_long_power_of_product_parses_to_one_word():
     (word, coeff), = e.terms()
     assert len(word) == 200_000
     assert coeff == QScalar.rational(1)
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    from qcartan.cli import main
+
+    assert parse_element("(" * 50 + "x" + ")" * 50) == parse_element("x")
+    with pytest.raises(ParseError, match="nested deeper than 50"):
+        parse("(" * 51 + "x" + ")" * 51)
+    assert main(["normalize", "(" * 1000 + "x" + ")" * 1000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parentheses nested deeper")
