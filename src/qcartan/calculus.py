@@ -9,7 +9,11 @@ the unit, and those vanish.
 
 Both maps here are linear and are computed once per basis word.
 :func:`exterior_d` sums c * D[w] over the terms c * w of its input, where
-D[w] is the normalized graded-Leibniz image of the word w; :func:`act`
+D[w] is the normalized graded-Leibniz image of the word w, taken one
+letter at a time: a form letter flips the sign, and a coordinate letter is
+replaced by its differential (d x^-1 = -x^-1 dx x^-1), so powers need no
+rule of their own.  The one-form and T realizations substitute letter
+images the same way, one letter at a time.  :func:`act`
 is bilinear and sums cu * cw * A[u, w], where A[u, w] is normalize(u w)
 with the operator words dropped.  D and A live in the relation table's
 "d" and "act" memos (:meth:`RelationTable.memo`), so they are filled once
@@ -25,13 +29,17 @@ The identity checks (:func:`check_d2`, :func:`check_leibniz`,
 from __future__ import annotations
 
 from .report import CheckReport, CheckResult
-from .scalars import ONE, QScalar
+from .scalars import QScalar
 from .words import (
     Element,
+    GENERATORS,
+    LETTERS,
     Sector,
     OPERATOR_SECTORS,
     Word,
     add_term,
+    canonical_codes,
+    concat,
     generator,
     linear_image,
     make_word,
@@ -49,48 +57,40 @@ def require_function_form(e: Element, allow_omega: bool = True) -> Element:
                 f"not a function/form: contains a {sector.name} letter"
             )
     if not allow_omega:
-        if any(g.name in _OMEGAS for w, _ in e.terms() for g, _e in w.factors):
+        if any(g.name in _OMEGAS for w, _ in e.terms() for g in w.letters()):
             raise ValueError(
                 "one-form letters are not allowed here; apply omega_expand first"
             )
     return e
 
 
-def _d_factor(g, e):
-    """d of a single coordinate power, as raw (factors, coeff) terms."""
-    d_name = "d" + g.name
-    dg = generator(d_name) if d_name in ("dx", "dy", "dz") else None
-    if dg is None:
-        return []
-    if g.name == "x":
-        # x commutes with dx, so the position sum collapses exactly
-        factors = ((dg, 1),) if e == 1 else ((dg, 1), (g, e - 1))
-        return [(factors, QScalar.rational(e))]
-    out = []
-    for j in range(e):
-        factors = []
-        if j:
-            factors.append((g, j))
-        factors.append((dg, 1))
-        if e - 1 - j:
-            factors.append((g, e - 1 - j))
-        out.append((tuple(factors), ONE))
-    return out
+_X, _XINV, _Y, _Z, _DX, _DY, _DZ = (
+    GENERATORS[n].position for n in ("x", "xinv", "y", "z", "dx", "dy", "dz")
+)
+# d of each coordinate letter, keyed by its code: (sign, codes of the
+# image).  d x^-1 = -x^-1 dx x^-1 follows from d(x x^-1) = 0.
+_D_LETTER = {
+    _X: (1, (_DX,)),
+    _Y: (1, (_DY,)),
+    _Z: (1, (_DZ,)),
+    _XINV: (-1, (_XINV, _DX, _XINV)),
+}
 
 
 def _d_word(word: Word, table) -> Element:
     """Normal form of the graded-Leibniz differential of one word."""
     terms: dict[Word, QScalar] = {}
+    codes = word.codes
     sign = 1
-    for i, (g, e) in enumerate(word.factors):
-        if g.sector is Sector.FORM:
-            sign *= (-1) ** e
+    for i, c in enumerate(codes):
+        if LETTERS[c].sector is Sector.FORM:
+            sign = -sign
             continue
-        for mid, c in _d_factor(g, e):
-            w = make_word(word.factors[:i] + mid + word.factors[i + 1:])
-            if w is None:
-                continue
-            add_term(terms, w, c * QScalar.rational(sign))
+        if c in _D_LETTER:
+            s, image = _D_LETTER[c]
+            w = canonical_codes(codes[:i] + image + codes[i + 1:])
+            if w is not None:
+                add_term(terms, Word(w), QScalar.rational(sign * s))
     return normalize(Element._raw(terms), table)
 
 
@@ -140,8 +140,6 @@ def _omega_images():
     dy = Element.from_letter("dy")
     dz = Element.from_letter("dz")
     y = Element.from_letter("y")
-    from .words import concat
-
     wx = concat(dx, xinv)
     wy = concat(dy, xinv) - concat(concat(concat(dx, xinv), y), xinv)
     return {"wx": wx, "wy": wy, "wz": dz}
@@ -160,20 +158,15 @@ def omega_images() -> dict[str, Element]:
 
 
 def _substitute(e: Element, images: dict[str, Element], table) -> Element:
-    from .words import concat
-
+    """Replace each letter named in images by its image, one letter at a
+    time, then normalize."""
     total = Element.zero()
     for word, coeff in e.terms():
         acc = Element.scalar(coeff)
-        for g, exp in word.factors:
-            img = images.get(g.name)
-            if img is None:
-                acc = concat(acc, Element.from_word(make_word([(g, exp)])))
-            else:
-                if exp < 0:
-                    raise ValueError(f"cannot substitute into {g.name}^{exp}")
-                for _ in range(exp):
-                    acc = concat(acc, img)
+        for c in word.codes:
+            img = images.get(LETTERS[c].name)
+            acc = concat(acc, Element.from_word(Word((c,))) if img is None
+                         else img)
         total = total + acc
     return normalize(total, table)
 
@@ -185,8 +178,6 @@ def omega_expand(e: Element, table) -> Element:
 
 def maurer_substitute(e: Element, table) -> Element:
     """Inverse direction: dx -> wx x, dy -> wx y + wy x, dz -> wz."""
-    from .words import concat
-
     wx = Element.from_letter("wx")
     wy = Element.from_letter("wy")
     x = Element.from_letter("x")
@@ -348,8 +339,6 @@ def check_omega_tables(max_degree: int, table) -> CheckReport:
 
 def t_realization() -> dict[str, Element]:
     """Tx = x px + y py, Ty = x py, Tz = pz."""
-    from .words import concat
-
     x = Element.from_letter("x")
     y = Element.from_letter("y")
     return {

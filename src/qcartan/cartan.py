@@ -7,12 +7,13 @@ re-derived as operator identities on a sweep of basis forms, which turns
 every printed relation into a machine-checked theorem instead of a
 restatement.
 
-An operator word is applied one letter at a time, rightmost first, and
-each letter step is a linear map: its image of a basis word is computed
-once, through the real :func:`act`, :func:`lie_apply` or multiplication
-(the one-form expansion included), and kept in the relation table's
-"letter" memo.  :func:`verify_table` still applies both sides of every
-rule to every basis form; only the repeated per-word work is read back.
+An operator word is applied one signed letter at a time, rightmost first
+(a power is just its letter repeated), and each letter step is a linear
+map: its image of a basis word is computed once, through the real
+:func:`act`, :func:`lie_apply` or multiplication (the one-form expansion
+included), and kept in the relation table's "letter" memo.
+:func:`verify_table` still applies both sides of every rule to every
+basis form; only the repeated per-word work is read back.
 
 :func:`verify_table`, :func:`check_cartan_tables` and
 :func:`check_l_realization` return a :class:`~qcartan.report.CheckReport`
@@ -23,7 +24,7 @@ kept as ``relations_checked``) followed by one row per failing relation.
 from __future__ import annotations
 
 from .report import CheckReport, CheckResult
-from .words import Element, Sector, Word, linear_image, make_word
+from .words import Element, Sector, Word, concat, linear_image
 from .normalizer import multiply
 from .calculus import (
     act,
@@ -59,19 +60,19 @@ def lie_apply(a: str, f: Element, table) -> Element:
         inner_apply(a, exterior_d(f, table), table)
 
 
-def _letter_step(g, e: int, expand_omega: bool, table):
-    """(memo tag, repeat count, image of one word) for the factor g^e."""
+def _letter_step(g, expand_omega: bool, table):
+    """(memo tag, image of one word) for the step of the letter g."""
     name = g.name
     if g.sector is Sector.LIEDERIV:
-        return name, e, lambda w: lie_apply(name[1], Element.from_word(w), table)
+        return name, lambda w: lie_apply(name[1], Element.from_word(w), table)
     if g.sector in (Sector.PARTIAL, Sector.LIE, Sector.INNER):
-        return name, e, lambda w: act(Element.from_letter(name),
-                                      Element.from_word(w), table)
+        return name, lambda w: act(Element.from_letter(name),
+                                   Element.from_word(w), table)
     if expand_omega and name in _OMEGA_NAMES:
-        return ("expand", name), 1, lambda w: multiply(
+        return ("expand", name), lambda w: multiply(
             omega_images()[name], Element.from_word(w), table)
-    return (name, e), 1, lambda w: multiply(
-        Element.from_word(make_word([(g, e)])), Element.from_word(w), table)
+    return name, lambda w: multiply(
+        Element.from_letter(name), Element.from_word(w), table)
 
 
 def apply_operator_word(word: Word, target: Element, table,
@@ -87,10 +88,9 @@ def apply_operator_word(word: Word, target: Element, table,
     """
     memo = table.memo("letter")
     out = target
-    for g, e in reversed(word.factors):
-        tag, times, image = _letter_step(g, e, expand_omega, table)
-        for _ in range(times):
-            out = linear_image(out, memo, image, tag)
+    for g in reversed(word.letters()):
+        tag, image = _letter_step(g, expand_omega, table)
+        out = linear_image(out, memo, image, tag)
     return out
 
 
@@ -128,7 +128,7 @@ def verify_table(table_id: str, max_degree: int, table) -> CheckReport:
     failures = []
     for rule in rules:
         relation = f"{rule.left.name}*{rule.right.name}"
-        lhs_word = make_word([(rule.left, 1), (rule.right, 1)])
+        lhs_word = rule.lhs_word()
         for target in targets:
             lhs = apply_operator_word(lhs_word, target, table, expand_omega)
             rhs = apply_operator(rule.rhs, target, table, expand_omega)
@@ -161,8 +161,6 @@ def l_realization(table) -> dict[str, Element]:
     """The Lie derivatives written through x^-1 and the Lie generators,
     Lx = x^-1 Tx - x^-1 y x^-1 Ty, Ly = x^-1 Ty, Lz = Tz, with the
     generators realized by coordinates and partials."""
-    from .words import concat
-
     t = t_realization()
     xinv = Element.from_letter("x", -1)
     y = Element.from_letter("y")

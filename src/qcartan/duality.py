@@ -27,11 +27,12 @@ the relation table's "pair" memo.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ONE, QScalar
-from .words import Element, Sector, Word, make_word
+from .words import Element, Sector, Word, concat, make_word
 from .normalizer import multiply, normalize, commutator
 from .report import CheckReport, CheckResult
 from .hopf import HopfPresentation, antipode, coproduct, tensor
@@ -78,8 +79,6 @@ def dual_presentation() -> HopfPresentation:
     kinv2 = Element.from_letter("K", -2)
     k2 = Element.from_letter("K", 2)
     one = Element.one()
-    from .words import concat
-
     delta = {
         "Tx": tensor(x_, one) + tensor(one, x_),
         "Ty": tensor(y_, kinv2) + tensor(one, y_),
@@ -110,17 +109,11 @@ def _dual():
 
 
 def _monomial_exponents(word: Word) -> tuple[int, int, int]:
-    k = l = m = 0
-    for g, e in word.factors:
-        if g.name == "x":
-            k = e
-        elif g.name == "y":
-            l = e
-        elif g.name == "z":
-            m = e
-        else:
-            raise ValueError(f"{word} is not a coordinate monomial")
-    return k, l, m
+    """(k, l, m) of x^k y^l z^m, counting letters: k = #x - #xinv."""
+    n = Counter(g.name for g in word.letters())
+    if n.keys() - {"x", "xinv", "y", "z"}:
+        raise ValueError(f"{word} is not a coordinate monomial")
+    return n["x"] - n["xinv"], n["y"], n["z"]
 
 
 def _letter_pairing(name: str, k: int, l: int, m: int) -> QScalar:
@@ -220,8 +213,6 @@ def check_dual_relations(max_exp: int, table) -> CheckReport:
     x_ = Element.from_letter("Tx")
     y_ = Element.from_letter("Ty")
     z_ = Element.from_letter("Tz")
-    from .words import concat
-
     pairs = [("XY-YX", x_, y_), ("XZ-ZX", x_, z_), ("YZ-ZY", y_, z_)]
     results = []
     for f in monomials(max_exp):

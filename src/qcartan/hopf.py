@@ -6,6 +6,11 @@ the group-like K = q**Tx that makes its coproducts finite expressions.
 The duality module builds a third presentation on the same machinery.
 All Hopf-carrying letters have form degree zero, so tensor slots multiply
 and normalize independently with no crossing signs.
+
+Coproduct, counit and antipode extend the letter images over a word one
+signed letter at a time (a power is its letter repeated).  The coproduct
+of each word is computed once per presentation and kept in the relation
+table's "coproduct" memo, keyed by the presentation's name and the word.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 from .scalars import ONE, QScalar
 from .words import (EMPTY_WORD, Element, Word, add_term, canonical_codes,
-                    concat, make_word, signed_letter)
+                    concat, make_word)
 from .normalizer import multiply, normalize
 from .report import CheckReport, CheckResult
 
@@ -160,6 +165,7 @@ class HopfPresentation:
 
     Maps are keyed by signed letter name; the extension is multiplicative
     for the coproduct and counit and anti-multiplicative for the antipode.
+    The name identifies the maps: memoized coproducts are stored under it.
     """
 
     name: str
@@ -168,13 +174,15 @@ class HopfPresentation:
     eps: dict
     antipode_map: dict
 
-    def check_letter(self, gen, exponent):
-        name = signed_letter(gen, exponent).name
-        if name not in self.delta:
-            raise ValueError(
-                f"letter {name} is outside the {self.name} presentation"
-            )
-        return name
+    def names(self, word: Word) -> list[str]:
+        """The signed letter names of a word, one per unit power; raises
+        if any letter lies outside the presentation."""
+        names = [g.name for g in word.letters()]
+        for name in names:
+            if name not in self.delta:
+                raise ValueError(f"letter {name} is outside the "
+                                 f"{self.name} presentation")
+        return names
 
 
 def _coordinate_presentation() -> HopfPresentation:
@@ -242,18 +250,21 @@ def presentation(alg) -> HopfPresentation:
 
 
 def coproduct(alg, e: Element, table) -> TensorElement:
-    """Multiplicative extension of the generator coproducts."""
+    """Multiplicative extension of the generator coproducts, summed over
+    the terms of e from the per-word coproducts in the table's memo."""
     pres = presentation(alg)
+    memo = table.memo("coproduct")
     out = {}
     for word, coeff in e.terms():
-        acc = TensorElement.unit(2)
-        for g, exp in word.factors:
-            name = pres.check_letter(g, exp)
-            img = pres.delta[name]
-            for _ in range(abs(exp)):
-                acc = tensor_mul(acc, img, table)
-        for key, c in acc.terms():
-            add_term(out, key, c * coeff)
+        key = (pres.name, word)
+        delta = memo.get(key)
+        if delta is None:
+            delta = TensorElement.unit(2)
+            for name in pres.names(word):
+                delta = tensor_mul(delta, pres.delta[name], table)
+            memo[key] = delta
+        for k, c in delta.terms():
+            add_term(out, k, c * coeff)
     return TensorElement._raw(2, out)
 
 
@@ -263,9 +274,8 @@ def counit(alg, e: Element) -> QScalar:
     total = QScalar.zero()
     for word, coeff in e.terms():
         value = ONE
-        for g, exp in word.factors:
-            name = pres.check_letter(g, exp)
-            value = value * pres.eps[name] ** abs(exp)
+        for name in pres.names(word):
+            value = value * pres.eps[name]
             if not value:
                 break
         total = total + coeff * value
@@ -278,11 +288,8 @@ def antipode(alg, e: Element, table) -> Element:
     out = Element.zero()
     for word, coeff in e.terms():
         acc = Element.one()
-        for g, exp in reversed(word.factors):
-            name = pres.check_letter(g, exp)
-            img = pres.antipode_map[name]
-            for _ in range(abs(exp)):
-                acc = multiply(acc, img, table)
+        for name in reversed(pres.names(word)):
+            acc = multiply(acc, pres.antipode_map[name], table)
         out = out + coeff * acc
     return out
 

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from .report import CheckResult
 from .scalars import ONE, QScalar
-from .words import GENERATORS, LETTERS, Element, Word, add_term, canonical_codes
+from .words import (GENERATORS, LETTERS, Element, Word, add_term,
+                    canonical_codes, concat)
 
 
 class MissingRuleError(Exception):
@@ -162,8 +163,6 @@ def normalize(e: Element, table, strategy: str = "leftmost", seed: int = 0) -> E
 
 def multiply(a: Element, b: Element, table) -> Element:
     """Product in the quotient algebra: concatenate, then normalize."""
-    from .words import concat
-
     return normalize(concat(a, b), table)
 
 

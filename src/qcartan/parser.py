@@ -9,7 +9,10 @@ Numbers are exact rationals (`3`, `3/4`); `q` powers admit half-integer
 exponents (`q^1/2`); every exponent is bounded in absolute value by
 :data:`~qcartan.words.MAX_EXPONENT`, and parentheses nest at most
 :data:`MAX_NESTING` deep, so that parsing and evaluating the tree stay
-far inside Python's recursion limit.  Unicode spellings of the operator
+far inside Python's recursion limit.  Products are expanded freely, and
+no single product may pair up more than :data:`MAX_EXPANSION` terms, so
+a power or a long product of sums is an error rather than an expansion
+that doubles per factor.  Unicode spellings of the operator
 letters are accepted on input; output is plain ASCII.
 """
 
@@ -20,13 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import QScalar
-from .words import Element, GENERATORS, MAX_EXPONENT, make_word
+from .words import Element, GENERATORS, MAX_EXPONENT, concat, make_word
 
 # Each nesting level costs four parser frames, up to three frames of
 # to_element or format_expr, and up to ten when two trees are compared
 # with ==, so 50 levels stay well under the default recursion limit of
 # 1000.
 MAX_NESTING = 50
+
+# Largest number of term pairs one free product may form: the sizes of the
+# two factors multiplied, checked before every product of to_element.
+# (x+y)^15 forms 32,768 and (x+y+z)^9 19,683; (x+y)^16 is refused.
+MAX_EXPANSION = 50_000
 
 
 class ParseError(ValueError):
@@ -293,8 +301,6 @@ def format_expr(e: Expr) -> str:
 
 def to_element(e: Expr) -> Element:
     """Evaluate abstract syntax to an element (free products, unnormalized)."""
-    from .words import concat
-
     if isinstance(e, Num):
         return Element.scalar(QScalar.rational(e.value))
     if isinstance(e, QPow):
@@ -316,15 +322,15 @@ def to_element(e: Expr) -> Element:
         n = e.exponent
         while n:
             if n & 1:
-                out = concat(out, base)
+                out = _product(out, base)
             n >>= 1
             if n:
-                base = concat(base, base)
+                base = _product(base, base)
         return out
     if isinstance(e, Mul):
         out = Element.one()
         for f in e.factors:
-            out = concat(out, to_element(f))
+            out = _product(out, to_element(f))
         return out
     if isinstance(e, Sum):
         out = Element.zero()
@@ -332,6 +338,17 @@ def to_element(e: Expr) -> Element:
             out = out + (to_element(term) if sign > 0 else -to_element(term))
         return out
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _product(a: Element, b: Element) -> Element:
+    """concat(a, b), refused when it would pair up more than
+    MAX_EXPANSION terms."""
+    if len(a) * len(b) > MAX_EXPANSION:
+        raise ValueError(
+            f"expanding a product of {len(a)} and {len(b)} terms exceeds "
+            f"the limit of {MAX_EXPANSION} terms"
+        )
+    return concat(a, b)
 
 
 def parse_element(text: str) -> Element:

@@ -15,9 +15,12 @@ letters, one per unit power (x**-2*y is (6, 6, 8), since xinv sits just
 before x).  Normal order is then plain integer order of adjacent codes,
 and :func:`canonical_codes` brings any code sequence to canonical form in
 one integer pass, which is what the rewrite kernel in
-:mod:`qcartan.normalizer` runs after each splice.  The (Generator,
-exponent) factor view is derived from the codes when printing or
-calculus code asks for it.
+:mod:`qcartan.normalizer` runs after each splice.  The engine reads words
+letter by letter (``word.codes`` or ``word.letters()``): d, the operator
+words, the Hopf maps and the pairing are all defined one letter at a
+time.  The (Generator, exponent) factor view serves printing and input
+only: it is derived from the codes when a word is printed, and
+:func:`make_word` builds words from written powers.
 """
 
 from __future__ import annotations
@@ -102,8 +105,6 @@ GENERATORS: dict[str, Generator] = _build_alphabet()
 # for; it applies to every '^' in expressions and relation files.
 MAX_EXPONENT = 100_000
 
-# Letters that may appear in canonical word factors (aliases resolve away).
-WORD_LETTERS = frozenset(g for g in GENERATORS.values() if not g.is_alias)
 INVERTIBLE = frozenset((GENERATORS["x"], GENERATORS["K"]))
 
 # Per letter code (a letter's position): the letter, the generator it is a
@@ -124,13 +125,6 @@ def generator(name: str) -> Generator:
         return GENERATORS[name]
     except KeyError:
         raise KeyError(f"unknown generator name {name!r}") from None
-
-
-def signed_letter(gen: Generator, exponent: int) -> Generator:
-    """The letter naming one power of `gen` with the sign of `exponent`."""
-    if exponent > 0:
-        return gen
-    return GENERATORS[gen.inverse_name]
 
 
 class Word:
@@ -274,7 +268,8 @@ def make_word(pairs) -> Word | None:
         return EMPTY_WORD
     codes = []
     for g, e in stack:
-        codes += [signed_letter(g, e).position] * abs(e)
+        letter = g if e > 0 else GENERATORS[g.inverse_name]
+        codes += [letter.position] * abs(e)
     return Word(tuple(codes), tuple((g, e) for g, e in stack))
 
 

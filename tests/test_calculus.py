@@ -44,6 +44,16 @@ def test_d_of_inverse_coordinate(table):
     assert exterior_d(parse_element("xinv"), table) == -parse_element("dx*x^-2")
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("x^-2", "(-2) dx*x^-3"),
+    ("y^3", "(3) dy*y^2"),
+    ("x^-1*y*dz", "(-q^-1) dx*dz*x^-2*y + (q^-2) dy*dz*x^-1"),
+    ("dx*y^2", "(-2) dx*dy*y"),
+])
+def test_d_of_powers_pinned(table, text, expected):
+    assert str(exterior_d(parse_element(text), table)) == expected
+
+
 def test_d_kills_differentials(table):
     assert exterior_d(parse_element("dx"), table).is_zero()
     assert exterior_d(ne("dx*dy", table), table).is_zero()

@@ -88,6 +88,7 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
                  ("normalize", "y*x", "--table", str(table)),
                  ("normalize", "x^300000000"),
                  ("normalize", "(x*y)^300000000"),
+                 ("normalize", "(x+y)^30"),
                  ("d", "y^-300000000"),
                  ("pair", "X", "x^300000000"),
                  ("normalize", "y*x", "--table", str(huge))):

@@ -7,11 +7,14 @@ from qcartan.hopf import (
     coproduct,
     counit,
     map_slot,
+    presentation,
     tensor,
     tensor_mul,
 )
+from qcartan.duality import dual_presentation
 from qcartan.normalizer import multiply, normalize
 from qcartan.parser import parse_element
+from qcartan.relations import RelationTable, builtin_presentation
 from qcartan.scalars import ONE, Q
 from qcartan.words import Element
 
@@ -103,6 +106,34 @@ def test_letter_outside_presentation_rejected(table):
         counit("U", parse_element("x"))
     with pytest.raises(ValueError, match="outside"):
         antipode("A", parse_element("dx"), table)
+    # eps(z) = 0 must not hide the out-of-presentation letter after it
+    for text in ("z*Tx", "x*Tx"):
+        with pytest.raises(ValueError, match="letter Tx is outside the A"):
+            counit("A", parse_element(text))
+
+
+def fold_coproduct(pres, names, table):
+    """The product of the letter coproducts, with no memo."""
+    acc = TensorElement.unit(2)
+    for name in names:
+        acc = tensor_mul(acc, pres.delta[name], table)
+    return acc
+
+
+def test_coproduct_memo_is_per_presentation():
+    # "U" and "dual" share their letters but not their coproducts
+    table = RelationTable(builtin_presentation().rules)
+    lie, dual = presentation("U"), dual_presentation()
+    for names in (("Ty",), ("Ty", "K", "Ty")):
+        e = parse_element("*".join(names))
+        got_u = coproduct("U", e, table)
+        got_dual = coproduct(dual, e, table)
+        assert got_u != got_dual
+        assert got_u == fold_coproduct(lie, names, table)
+        assert got_dual == fold_coproduct(dual, names, table)
+        assert coproduct(lie, e, table) == got_u
+    assert table.cache_info()["coproduct"] == 4
+
 
 
 def test_tensor_arity_checks():

@@ -133,6 +133,15 @@ def test_long_power_of_product_parses_to_one_word():
     assert coeff == QScalar.rational(1)
 
 
+def test_expansion_bound():
+    # x and x^-1 cancel in the free product: 31 terms, far below the bound
+    assert len(parse_element("(x + x^-1)^30")) == 31
+    assert len(parse_element("(x+y)^15")) == 2 ** 15
+    for text in ("(x+y)^30", "(x+y)^100000", "*".join(["(x+y)"] * 30)):
+        with pytest.raises(ValueError, match="exceeds the limit of 50000"):
+            parse_element(text)
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     from qcartan.cli import main
 
