@@ -9,11 +9,13 @@ the unit, and those vanish.
 
 Both maps here are linear and are computed once per basis word.
 :func:`exterior_d` sums c * D[w] over the terms c * w of its input, where
-D[w] is the normalized graded-Leibniz image of the word w, taken one
-letter at a time: a form letter flips the sign, and a coordinate letter is
-replaced by its differential (d x^-1 = -x^-1 dx x^-1), so powers need no
-rule of their own.  The one-form and T realizations substitute letter
-images the same way, one letter at a time.  :func:`act`
+D[w] is the normalized graded-Leibniz image of the word w, read off its
+letter codes: a form letter flips the sign, a letter y or z is replaced
+by its differential at each position, and a run of n letters x (or x^-1),
+which commute with dx, gives the one term n dx x^(n-1) (or
+-n dx x^(-n-1)), so d costs time linear in the length of an x power.
+The one-form and T realizations substitute letter images one letter at a
+time and splice the runs of letters without an image in whole.  :func:`act`
 is bilinear and sums cu * cw * A[u, w], where A[u, w] is normalize(u w)
 with the operator words dropped.  D and A live in the relation table's
 "d" and "act" memos (:meth:`RelationTable.memo`), so they are filled once
@@ -27,6 +29,8 @@ The identity checks (:func:`check_d2`, :func:`check_leibniz`,
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .report import CheckReport, CheckResult
 from .scalars import QScalar
@@ -67,13 +71,16 @@ def require_function_form(e: Element, allow_omega: bool = True) -> Element:
 _X, _XINV, _Y, _Z, _DX, _DY, _DZ = (
     GENERATORS[n].position for n in ("x", "xinv", "y", "z", "dx", "dy", "dz")
 )
-# d of each coordinate letter, keyed by its code: (sign, codes of the
-# image).  d x^-1 = -x^-1 dx x^-1 follows from d(x x^-1) = 0.
-_D_LETTER = {
-    _X: (1, (_DX,)),
-    _Y: (1, (_DY,)),
-    _Z: (1, (_DZ,)),
-    _XINV: (-1, (_XINV, _DX, _XINV)),
+# d of a letter y or z, keyed by its code: the codes of its image, taken
+# at each letter of a run in turn.
+_D_LETTER = {_Y: (_DY,), _Z: (_DZ,)}
+# d of a run of n letters x or x^-1, keyed by the letter's code:
+# (coefficient, codes of the image).  Both commute with dx, so the
+# Leibniz sum over the run collapses to one term; d x^-1 = -x^-1 dx x^-1
+# follows from d(x x^-1) = 0.
+_D_RUN = {
+    _X: lambda n: (n, (_DX,) + (_X,) * (n - 1)),
+    _XINV: lambda n: (-n, (_DX,) + (_XINV,) * (n + 1)),
 }
 
 
@@ -81,16 +88,25 @@ def _d_word(word: Word, table) -> Element:
     """Normal form of the graded-Leibniz differential of one word."""
     terms: dict[Word, QScalar] = {}
     codes = word.codes
+
+    def add(i, j, image, coeff):
+        w = canonical_codes(codes[:i] + image + codes[j:])
+        if w is not None:
+            add_term(terms, Word(w), QScalar.rational(coeff))
+
     sign = 1
-    for i, c in enumerate(codes):
+    start = 0
+    for c, run in groupby(codes):
+        end = start + len(tuple(run))
         if LETTERS[c].sector is Sector.FORM:
-            sign = -sign
-            continue
-        if c in _D_LETTER:
-            s, image = _D_LETTER[c]
-            w = canonical_codes(codes[:i] + image + codes[i + 1:])
-            if w is not None:
-                add_term(terms, Word(w), QScalar.rational(sign * s))
+            sign *= (-1) ** (end - start)
+        elif c in _D_RUN:
+            coeff, image = _D_RUN[c](end - start)
+            add(start, end, image, sign * coeff)
+        elif c in _D_LETTER:
+            for i in range(start, end):
+                add(i, i + 1, _D_LETTER[c], sign)
+        start = end
     return normalize(Element._raw(terms), table)
 
 
@@ -159,14 +175,18 @@ def omega_images() -> dict[str, Element]:
 
 def _substitute(e: Element, images: dict[str, Element], table) -> Element:
     """Replace each letter named in images by its image, one letter at a
-    time, then normalize."""
+    time, then normalize.  A run of letters with no image is spliced in
+    whole."""
     total = Element.zero()
     for word, coeff in e.terms():
         acc = Element.scalar(coeff)
-        for c in word.codes:
-            img = images.get(LETTERS[c].name)
-            acc = concat(acc, Element.from_word(Word((c,))) if img is None
-                         else img)
+        for substituted, run in groupby(
+                word.codes, key=lambda c: LETTERS[c].name in images):
+            if substituted:
+                for c in run:
+                    acc = concat(acc, images[LETTERS[c].name])
+            else:
+                acc = concat(acc, Element.from_word(Word(tuple(run))))
         total = total + acc
     return normalize(total, table)
 

@@ -10,7 +10,8 @@ and normalize independently with no crossing signs.
 Coproduct, counit and antipode extend the letter images over a word one
 signed letter at a time (a power is its letter repeated).  The coproduct
 of each word is computed once per presentation and kept in the relation
-table's "coproduct" memo, keyed by the presentation's name and the word.
+table's "coproduct" memo, keyed by the presentation object itself and the
+word, so two presentations never share an entry, even under one name.
 """
 
 from __future__ import annotations
@@ -159,13 +160,14 @@ def map_slot(t: TensorElement, slot: int, fn) -> TensorElement:
     return TensorElement._raw(arity, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopfPresentation:
     """Generator images of coproduct, counit and antipode for one algebra.
 
     Maps are keyed by signed letter name; the extension is multiplicative
     for the coproduct and counit and anti-multiplicative for the antipode.
-    The name identifies the maps: memoized coproducts are stored under it.
+    Equality and hashing are by identity: memoized coproducts are stored
+    under the presentation object, not under its name.
     """
 
     name: str
@@ -256,7 +258,7 @@ def coproduct(alg, e: Element, table) -> TensorElement:
     memo = table.memo("coproduct")
     out = {}
     for word, coeff in e.terms():
-        key = (pres.name, word)
+        key = (pres, word)
         delta = memo.get(key)
         if delta is None:
             delta = TensorElement.unit(2)

@@ -10,9 +10,10 @@ exponents (`q^1/2`); every exponent is bounded in absolute value by
 :data:`~qcartan.words.MAX_EXPONENT`, and parentheses nest at most
 :data:`MAX_NESTING` deep, so that parsing and evaluating the tree stay
 far inside Python's recursion limit.  Products are expanded freely, and
-no single product may pair up more than :data:`MAX_EXPANSION` terms, so
-a power or a long product of sums is an error rather than an expansion
-that doubles per factor.  Unicode spellings of the operator
+no single product may pair up more than :data:`MAX_EXPANSION` terms or
+write more than :data:`MAX_EXPANSION_LETTERS` letters, so a power or a
+long product of sums is an error rather than an expansion that doubles
+per factor.  Unicode spellings of the operator
 letters are accepted on input; output is plain ASCII.
 """
 
@@ -35,6 +36,10 @@ MAX_NESTING = 50
 # two factors multiplied, checked before every product of to_element.
 # (x+y)^15 forms 32,768 and (x+y+z)^9 19,683; (x+y)^16 is refused.
 MAX_EXPANSION = 50_000
+# Largest number of letters one free product may write, summed over its
+# terms: (x*y*z)^100000 writes 300,000 and (x+y)^15 491,520, while
+# (x^100000+y)^15 is refused.
+MAX_EXPANSION_LETTERS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -342,11 +347,18 @@ def to_element(e: Expr) -> Element:
 
 def _product(a: Element, b: Element) -> Element:
     """concat(a, b), refused when it would pair up more than
-    MAX_EXPANSION terms."""
+    MAX_EXPANSION terms or write more than MAX_EXPANSION_LETTERS letters."""
     if len(a) * len(b) > MAX_EXPANSION:
         raise ValueError(
             f"expanding a product of {len(a)} and {len(b)} terms exceeds "
             f"the limit of {MAX_EXPANSION} terms"
+        )
+    letters = (len(b) * sum(len(w) for w, _ in a.terms())
+               + len(a) * sum(len(w) for w, _ in b.terms()))
+    if letters > MAX_EXPANSION_LETTERS:
+        raise ValueError(
+            f"expanding a product of {len(a)} and {len(b)} terms writes "
+            f"{letters} letters, over the limit of {MAX_EXPANSION_LETTERS}"
         )
     return concat(a, b)
 

@@ -49,9 +49,26 @@ def test_d_of_inverse_coordinate(table):
     ("y^3", "(3) dy*y^2"),
     ("x^-1*y*dz", "(-q^-1) dx*dz*x^-2*y + (q^-2) dy*dz*x^-1"),
     ("dx*y^2", "(-2) dx*dy*y"),
+    ("x^3*y*x^-4", "(-q^4) dx*x^-2*y + (q^3) dy*x^-1"),
 ])
 def test_d_of_powers_pinned(table, text, expected):
     assert str(exterior_d(parse_element(text), table)) == expected
+
+
+def test_d_of_long_x_powers(table):
+    # a run of x or x^-1 letters gives one term, so this stays linear
+    assert str(exterior_d(parse_element("x^100000"), table)) == \
+        "(100000) dx*x^99999"
+    assert str(exterior_d(parse_element("x^-100000"), table)) == \
+        "(-100000) dx*x^-100001"
+
+
+def test_substitution_splices_long_runs(table):
+    # the letters without an image are concatenated as one run
+    assert omega_expand(parse_element("dx*x^100000"), table) == \
+        parse_element("dx*x^100000")
+    assert omega_expand(parse_element("wx*x^100000"), table) == \
+        parse_element("dx*x^99999")
 
 
 def test_d_kills_differentials(table):

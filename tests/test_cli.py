@@ -89,6 +89,7 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
                  ("normalize", "x^300000000"),
                  ("normalize", "(x*y)^300000000"),
                  ("normalize", "(x+y)^30"),
+                 ("normalize", "(x^100000+y)^15"),
                  ("d", "y^-300000000"),
                  ("pair", "X", "x^300000000"),
                  ("normalize", "y*x", "--table", str(huge))):

@@ -1,6 +1,7 @@
 import pytest
 
 from qcartan.hopf import (
+    HopfPresentation,
     TensorElement,
     antipode,
     check_hopf_axioms,
@@ -133,7 +134,13 @@ def test_coproduct_memo_is_per_presentation():
         assert got_dual == fold_coproduct(dual, names, table)
         assert coproduct(lie, e, table) == got_u
     assert table.cache_info()["coproduct"] == 4
-
+    # a user-built presentation named "U" with the dual's maps keeps its
+    # own entries, apart from the built-in "U"
+    impostor = HopfPresentation("U", dual.letters, dual.delta, dual.eps,
+                                dual.antipode_map)
+    e = parse_element("Ty")
+    assert coproduct(impostor, e, table) == fold_coproduct(dual, ("Ty",), table)
+    assert coproduct(lie, e, table) == fold_coproduct(lie, ("Ty",), table)
 
 
 def test_tensor_arity_checks():

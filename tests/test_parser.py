@@ -140,6 +140,11 @@ def test_expansion_bound():
     for text in ("(x+y)^30", "(x+y)^100000", "*".join(["(x+y)"] * 30)):
         with pytest.raises(ValueError, match="exceeds the limit of 50000"):
             parse_element(text)
+    # few terms but long ones: bounded by the letters the product writes
+    assert len(next(iter(parse_element("(x*y*z)^100000")))[0]) == 300_000
+    for text in ("(x^100000+y)^15", "(x^100000+y)*" * 10 + "1"):
+        with pytest.raises(ValueError, match="over the limit of 1000000"):
+            parse_element(text)
 
 
 def test_deep_nesting_is_a_parse_error(capsys):
