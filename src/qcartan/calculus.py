@@ -10,10 +10,13 @@ the unit, and those vanish.
 Both maps here are linear and are computed once per basis word.
 :func:`exterior_d` sums c * D[w] over the terms c * w of its input, where
 D[w] is the normalized graded-Leibniz image of the word w, read off its
-letter codes: a form letter flips the sign, a letter y or z is replaced
-by its differential at each position, and a run of n letters x (or x^-1),
-which commute with dx, gives the one term n dx x^(n-1) (or
--n dx x^(-n-1)), so d costs time linear in the length of an x power.
+letter codes: a form letter flips the sign, and a coordinate letter is
+replaced by its image (x -> dx, x^-1 -> -x^-1 dx x^-1, y -> dy,
+z -> dz) at each position.  When the table's rule for a letter c against
+its differential is the plain swap dc . c, all Leibniz terms of a run
+c^n are equal, so the run gives n times the term of its first letter and
+d costs time linear in the length of a power; otherwise the run gives one
+term per letter.
 The one-form and T realizations substitute letter images one letter at a
 time and splice the runs of letters without an image in whole.  :func:`act`
 is bilinear and sums cu * cw * A[u, w], where A[u, w] is normalize(u w)
@@ -71,16 +74,14 @@ def require_function_form(e: Element, allow_omega: bool = True) -> Element:
 _X, _XINV, _Y, _Z, _DX, _DY, _DZ = (
     GENERATORS[n].position for n in ("x", "xinv", "y", "z", "dx", "dy", "dz")
 )
-# d of a letter y or z, keyed by its code: the codes of its image, taken
-# at each letter of a run in turn.
-_D_LETTER = {_Y: (_DY,), _Z: (_DZ,)}
-# d of a run of n letters x or x^-1, keyed by the letter's code:
-# (coefficient, codes of the image).  Both commute with dx, so the
-# Leibniz sum over the run collapses to one term; d x^-1 = -x^-1 dx x^-1
-# follows from d(x x^-1) = 0.
-_D_RUN = {
-    _X: lambda n: (n, (_DX,) + (_X,) * (n - 1)),
-    _XINV: lambda n: (-n, (_DX,) + (_XINV,) * (n + 1)),
+# d of one coordinate letter, keyed by its code: (differential letter,
+# coefficient, codes of the image).  d x^-1 = -x^-1 dx x^-1 follows from
+# d(x x^-1) = 0.
+_D_IMAGE = {
+    _X: (_DX, 1, (_DX,)),
+    _XINV: (_DX, -1, (_XINV, _DX, _XINV)),
+    _Y: (_DY, 1, (_DY,)),
+    _Z: (_DZ, 1, (_DZ,)),
 }
 
 
@@ -89,8 +90,8 @@ def _d_word(word: Word, table) -> Element:
     terms: dict[Word, QScalar] = {}
     codes = word.codes
 
-    def add(i, j, image, coeff):
-        w = canonical_codes(codes[:i] + image + codes[j:])
+    def add(i, image, coeff):
+        w = canonical_codes(codes[:i] + image + codes[i + 1:])
         if w is not None:
             add_term(terms, Word(w), QScalar.rational(coeff))
 
@@ -100,12 +101,15 @@ def _d_word(word: Word, table) -> Element:
         end = start + len(tuple(run))
         if LETTERS[c].sector is Sector.FORM:
             sign *= (-1) ** (end - start)
-        elif c in _D_RUN:
-            coeff, image = _D_RUN[c](end - start)
-            add(start, end, image, sign * coeff)
-        elif c in _D_LETTER:
-            for i in range(start, end):
-                add(i, i + 1, _D_LETTER[c], sign)
+        elif c in _D_IMAGE:
+            dc, coeff, image = _D_IMAGE[c]
+            # if the table's rule for c . dc is the plain swap dc . c,
+            # every Leibniz term of the run equals the first one
+            if table.compiled.get((c, dc)) == (((dc, c), 1),):
+                add(start, image, sign * coeff * (end - start))
+            else:
+                for i in range(start, end):
+                    add(i, image, sign * coeff)
         start = end
     return normalize(Element._raw(terms), table)
 

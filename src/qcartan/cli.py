@@ -22,6 +22,7 @@ from .normalizer import MissingRuleError, check_local_confluence, normalize
 from .parser import ParseError, parse_element
 from .relations import RelationError, builtin_presentation, load_presentation_file
 from .report import CheckReport
+from .scalars import QScalar
 from .words import Element
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -34,27 +35,11 @@ def _resolve_table(args):
     return builtin_presentation()
 
 
-def _specialize(e: Element, q_value: Fraction) -> str:
-    values = e.evaluate(q_value)
-    if not values:
-        return "0"
-    parts = []
-    for w in sorted(values, key=lambda w: w.sort_key()):
-        c = values[w]
-        if w.is_empty():
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(str(w))
-        else:
-            parts.append(f"({c}) {w}")
-    return " + ".join(parts)
-
-
 def _print_element(e: Element, args):
     if args.q is not None:
-        print(_specialize(e, args.q))
-    else:
-        print(e)
+        e = Element({w: QScalar.rational(v)
+                     for w, v in e.evaluate(args.q).items()})
+    print(e)
 
 
 def _rational(text: str) -> Fraction:

@@ -11,8 +11,9 @@ monomial basis x^k y^l z^m:
     <Z, f>    = 1  [l = 0, m = 1]
     <K^n, f>  = q^(n k / 2)  [l = m = 0]
 
-and word pairings recurse through the coordinate coproduct, left factor
-against left slot (differentiation acts from the right in this basis).
+and word pairings peel one letter at a time off through the coordinate
+coproduct, left factor against left slot (differentiation acts from the
+right in this basis).
 
 The unit pairs as <1, f> = eps(f) = [l = m = 0], the multiplicative
 extension of eps(x) = 1.  The printed convention [k = 0] for the unit
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ONE, QScalar
-from .words import Element, Sector, Word, concat, make_word
+from .words import Element, Sector, Word, add_term, concat, make_word
 from .normalizer import multiply, normalize, commutator
 from .report import CheckReport, CheckResult
 from .hopf import HopfPresentation, antipode, coproduct, tensor
@@ -137,20 +138,27 @@ def _unit_pairing(k: int, l: int, m: int) -> QScalar:
 
 
 def _pair_letters(letters, word: Word, table) -> QScalar:
+    """<letters, word>, one letter at a time: the head letter pairs with
+    the left slot of the coordinate coproduct, and the rest with the
+    right slot.  slots maps each right-slot word still to be paired to
+    its accumulated coefficient."""
     k, l, m = _monomial_exponents(word)
     if not letters:
         return _unit_pairing(k, l, m)
-    if len(letters) == 1:
-        return _letter_pairing(letters[0], k, l, m)
-    head, rest = letters[0], letters[1:]
-    delta = coproduct("A", Element.from_word(word), table)
+    slots = {word: ONE}
+    for head in letters[:-1]:
+        peeled: dict[Word, QScalar] = {}
+        for w, c in slots.items():
+            for (w1, w2), dc in coproduct("A", Element.from_word(w),
+                                           table).terms():
+                first = _letter_pairing(head, *_monomial_exponents(w1))
+                if first:
+                    add_term(peeled, w2, c * dc * first)
+        slots = peeled
     total = QScalar.zero()
-    for (w1, w2), c in delta.terms():
-        k1, l1, m1 = _monomial_exponents(w1)
-        first = _letter_pairing(head, k1, l1, m1)
-        if not first:
-            continue
-        total = total + c * first * _pair_letters(rest, w2, table)
+    for w, c in slots.items():
+        total = total + c * _letter_pairing(letters[-1],
+                                            *_monomial_exponents(w))
     return total
 
 

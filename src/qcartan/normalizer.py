@@ -88,13 +88,6 @@ def _pick_random(_codes, positions, rng):
     return rng.choice(positions)
 
 
-_PICKERS = {
-    "leftmost": _pick_leftmost,
-    "rightmost": _pick_rightmost,
-    "random": _pick_random,
-}
-
-
 def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     """Memoized reduction of a single word; returns {codes: coeff}.
 
@@ -141,22 +134,19 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     return cache[codes]
 
 
-def normalize(e: Element, table, strategy: str = "leftmost", seed: int = 0) -> Element:
+def normalize(e: Element, table) -> Element:
     """Reduce an element to its normal form under the table.
 
-    Linear over scalars and idempotent.  Raises MissingRuleError when an
-    out-of-order pair without a rule comes up during reduction.
+    Rewrites the leftmost out-of-order pair first, through the table's
+    shared normal-form memo.  Linear over scalars and idempotent.  Raises
+    MissingRuleError when an out-of-order pair without a rule comes up
+    during reduction.
     """
-    pick = _PICKERS[strategy]
-    if strategy == "leftmost":
-        cache = table.normal_form_cache("leftmost")
-        rng = None
-    else:
-        cache = {}
-        rng = random.Random(seed)
+    cache = table.normal_form_cache("leftmost")
     terms: dict[tuple, QScalar] = {}
     for w, c in e.terms():
-        for codes, nc in _normal_form(w.codes, table, cache, pick, rng).items():
+        for codes, nc in _normal_form(w.codes, table, cache, _pick_leftmost,
+                                      None).items():
             add_term(terms, codes, c * nc)
     return Element._raw({Word(codes): c for codes, c in terms.items()})
 
@@ -175,21 +165,14 @@ class NormalizationReport:
     input: Element
     output: Element
     steps: int
-    strategy: str
 
     def __str__(self):
-        return (
-            f"{self.input}  ~>  {self.output}   "
-            f"[{self.steps} steps, {self.strategy}]"
-        )
+        return f"{self.input}  ~>  {self.output}   [{self.steps} steps]"
 
 
-def normalize_report(
-    e: Element, table, strategy: str = "leftmost", seed: int = 0
-) -> NormalizationReport:
-    """Normalize while counting rule applications (uncached)."""
-    pick = _PICKERS[strategy]
-    rng = random.Random(seed)
+def normalize_report(e: Element, table) -> NormalizationReport:
+    """Normalize leftmost-first while counting rule applications
+    (uncached)."""
     agenda = [(w.codes, c) for w, c in e.terms()]
     done: dict[tuple, QScalar] = {}
     steps = 0
@@ -200,12 +183,11 @@ def normalize_report(
             add_term(done, codes, c)
             continue
         steps += 1
-        i = pick(codes, positions, rng)
-        for nw, nc in _rewrite_at(codes, i, table):
+        for nw, nc in _rewrite_at(codes, positions[0], table):
             if nw is not None:
                 agenda.append((nw, c * nc))
     output = Element._raw({Word(w): c for w, c in done.items()})
-    return NormalizationReport(e, output, steps, strategy)
+    return NormalizationReport(e, output, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +284,11 @@ def check_local_confluence(
     letters = sorted({r.left.name for r in table.rules}
                      | {r.right.name for r in table.rules})
     covered, introduces = _coverage(table)
-    strategies = ["leftmost", "rightmost"] + [f"random:{s}" for s in seeds]
+    # (name, pick, rng) of each strategy compared against leftmost
+    alternatives = [("rightmost", _pick_rightmost, None)] + [
+        (f"random:{seed}", _pick_random, random.Random(seed))
+        for seed in seeds
+    ]
 
     # Enumerate candidate words as letter-code tuples, prefiltered by
     # pairwise rule coverage (with introduced-letter closure).
@@ -341,20 +327,14 @@ def check_local_confluence(
                  for w in words]
 
     divergences = []
-    for strat in strategies[1:]:
-        if strat == "rightmost":
-            pick, rng = _pick_rightmost, None
-        else:
-            seed = int(strat.split(":")[1])
-            rng = random.Random(seed)
-            pick = _pick_random
+    for strategy, pick, rng in alternatives:
         alt_cache: dict = {}
         for w, ref in zip(words, reference):
             if _normal_form(w, table, alt_cache, pick, rng) != ref:
-                divergences.append((Word(w), "leftmost", strat))
+                divergences.append((Word(w), "leftmost", strategy))
     return ConfluenceReport(
         max_len=max_len,
-        strategies=tuple(strategies),
+        strategies=("leftmost", *(s for s, _, _ in alternatives)),
         words_checked=len(words),
         words_skipped=skipped,
         divergences=tuple(divergences),

@@ -1,4 +1,10 @@
-"""Expression front end: a small algebra grammar over the fixed alphabet.
+"""Expression front end: the one algebra grammar over the fixed alphabet.
+
+Command-line input, the right sides of relation-file rules
+(:mod:`qcartan.relations`) and scalar text
+(:func:`qcartan.scalars.parse_scalar`) are all read by
+:func:`parse_element`, so the syntax and its bounds are defined here
+only.
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor (('*' | '.') factor)*
@@ -22,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .scalars import QScalar
 from .words import Element, GENERATORS, MAX_EXPONENT, concat, make_word
@@ -311,7 +318,7 @@ def to_element(e: Expr) -> Element:
     if isinstance(e, QPow):
         return Element.scalar(QScalar._raw({e.halves: 1}))
     if isinstance(e, Gen):
-        return Element.from_letter(e.name)
+        return _letter(e.name)
     if isinstance(e, Pow):
         if isinstance(e.base, Gen):
             word = make_word([(e.base.name, e.exponent)])
@@ -333,8 +340,8 @@ def to_element(e: Expr) -> Element:
                 base = _product(base, base)
         return out
     if isinstance(e, Mul):
-        out = Element.one()
-        for f in e.factors:
+        out = to_element(e.factors[0])
+        for f in e.factors[1:]:
             out = _product(out, to_element(f))
         return out
     if isinstance(e, Sum):
@@ -343,6 +350,12 @@ def to_element(e: Expr) -> Element:
             out = out + (to_element(term) if sign > 0 else -to_element(term))
         return out
     raise TypeError(f"not an expression: {e!r}")
+
+
+@cache
+def _letter(name: str) -> Element:
+    """The element of one letter, built once: elements are never mutated."""
+    return Element.from_letter(name)
 
 
 def _product(a: Element, b: Element) -> Element:

@@ -15,9 +15,12 @@ File format (one rule per line, '#' comments):
 
     <letter> . <letter> -> <element>
 
-where an element is a +/- separated sum of terms `(<scalar>) f1 . f2 ...`
-with factors `name^exp` and scalars in q^p/2 syntax; a bare number is a
-constant term and the scalar `(1)` may be omitted.
+The left side is two letter names as printed (`xinv`, not `x^-1`).  The
+right side is any expression of :mod:`qcartan.parser`, read by the same
+:func:`~qcartan.parser.parse_element` as command-line input and under the
+same exponent, nesting and expansion bounds; a parse error is reported
+as a :class:`RelationError` naming the line.  :func:`format_presentation`
+writes terms as `(<scalar>) f1 . f2 ...` with factors `name^exp`.
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 
 from .normalizer import _positions
-from .scalars import ONE, parse_scalar
+from .parser import parse_element
+from .scalars import ONE
 from .words import (
-    EMPTY_WORD,
+    GENERATORS,
     LETTERS,
     Element,
     Generator,
     Sector,
     Word,
+    canonical_codes,
     generator,
     make_word,
 )
@@ -264,84 +269,6 @@ def _derive_inverse_rules(paper_rules):
 # ---------------------------------------------------------------------------
 # serialization
 
-_FACTOR_RE = re.compile(r"^([A-Za-z]+)(?:\^(-?\d+))?$")
-
-
-def _parse_word_text(text: str, line_no=None) -> Word | None:
-    factors = []
-    for chunk in text.split("."):
-        chunk = chunk.strip()
-        if chunk == "1" and not factors and text.strip() == "1":
-            return EMPTY_WORD
-        m = _FACTOR_RE.match(chunk)
-        if m is None:
-            raise RelationError(f"bad word factor {chunk!r}", line_no)
-        name, exp = m.group(1), int(m.group(2) or 1)
-        try:
-            gen = generator(name)
-        except KeyError as exc:
-            raise RelationError(str(exc), line_no) from None
-        factors.append((gen, exp))
-    try:
-        return make_word(factors)
-    except ValueError as exc:
-        raise RelationError(str(exc), line_no) from None
-
-
-def _split_terms(text: str, line_no=None):
-    """Split an element expression on top-level +/- into signed chunks."""
-    depth = 0
-    sign = 1
-    start = 0
-    out = []
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise RelationError("unbalanced parentheses", line_no)
-        elif ch in "+-" and depth == 0:
-            if text[:i].rstrip().endswith("^"):
-                continue  # exponent sign, not a term separator
-            chunk = text[start:i].strip()
-            if chunk:
-                out.append((sign, chunk))
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            start = i + 1
-    chunk = text[start:].strip()
-    if not chunk:
-        raise RelationError("dangling sign in element", line_no)
-    out.append((sign, chunk))
-    if depth:
-        raise RelationError("unbalanced parentheses", line_no)
-    return out
-
-
-_TERM_RE = re.compile(r"^(?:\((?P<scalar>[^()]*)\))?\s*(?P<word>[^()]*)$")
-
-
-def _parse_element_text(text: str, line_no=None) -> Element:
-    total = Element.zero()
-    for sign, chunk in _split_terms(text, line_no):
-        m = _TERM_RE.match(chunk)
-        if m is None:
-            raise RelationError(f"bad element term {chunk!r}", line_no)
-        scalar_text = m.group("scalar")
-        word_text = m.group("word").strip()
-        if scalar_text is None and re.fullmatch(r"\d+(/\d+)?", word_text):
-            scalar_text, word_text = word_text, ""
-        try:
-            coeff = ONE if scalar_text is None else parse_scalar(scalar_text)
-        except ValueError as exc:
-            raise RelationError(str(exc), line_no) from None
-        word = _parse_word_text(word_text, line_no) if word_text else EMPTY_WORD
-        total = total + Element.from_word(word, coeff if sign > 0 else -coeff)
-    return total
-
-
 def _format_word(word: Word) -> str:
     if word.is_empty():
         return "1"
@@ -373,15 +300,21 @@ def _parse_rule_line(line: str, line_no=None):
     m = _RULE_LINE_RE.match(line.strip())
     if m is None:
         raise RelationError(f"expected '<pair> -> <element>' in {line.strip()!r}", line_no)
-    lhs = _parse_word_text(m.group("lhs").strip(), line_no)
-    if lhs is None or len(lhs) != 2:
+    names = [name.strip() for name in m.group("lhs").split(".")]
+    if len(names) != 2 or not all(name in GENERATORS for name in names):
+        raise RelationError("left side must be two letter names, as in "
+                            f"'y . x', not {m.group('lhs').strip()!r}", line_no)
+    left, right = GENERATORS[names[0]], GENERATORS[names[1]]
+    if len(canonical_codes((left.position, right.position)) or ()) != 2:
         raise RelationError("left side must be a product of two letters", line_no)
-    letters = lhs.letters()
-    rhs = _parse_element_text(m.group("rhs").strip(), line_no)
+    try:
+        rhs = parse_element(m.group("rhs"))
+    except ValueError as exc:
+        raise RelationError(str(exc), line_no) from None
     prov = (m.group("prov") or "").split()
     table_id = prov[0] if prov else "user"
     origin = prov[1] if len(prov) > 1 else "user"
-    return letters[0], letters[1], rhs, (table_id, origin)
+    return left, right, rhs, (table_id, origin)
 
 
 def load_presentation(text: str) -> RelationTable:

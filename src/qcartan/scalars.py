@@ -11,7 +11,6 @@ anywhere.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import isqrt
 
@@ -301,58 +300,17 @@ Q_INV = QScalar._raw({-2: 1})
 Q_HALF = QScalar._raw({1: 1})
 
 
-# A scalar expression is a signed sum of monomials:  3/2*q^-1/2 + 1 - q^2.
-_MONOMIAL_RE = re.compile(
-    r"""\s*
-        (?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?           # optional rational
-        (?:q(?:\^(?P<exp>-?\d+(?:/2)?))?)?              # optional q power
-        \s*$""",
-    re.VERBOSE,
-)
-
-
 def parse_scalar(text: str) -> QScalar:
-    """Parse the q^p/2 scalar syntax, e.g. '1', '-q^-1', '3/2*q^1/2 + 1'."""
-    total = _ZERO
-    for sign, chunk in _signed_chunks(text):
-        m = _MONOMIAL_RE.fullmatch(chunk)
-        if m is None or (m.group("coeff") is None and "q" not in chunk):
-            raise ValueError(f"bad scalar syntax: {chunk.strip()!r}")
-        try:
-            coeff = Fraction(m.group("coeff") or 1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {chunk.strip()!r}") from None
-        exp = m.group("exp")
-        if "q" not in chunk:
-            half = 0
-        elif exp is None:
-            half = 2
-        elif exp.endswith("/2"):
-            half = int(exp[:-2])
-        else:
-            half = 2 * int(exp)
-        total = total + QScalar({half: sign * coeff})
-    return total
+    """Parse scalar text such as '1', '-q^-1', '3/2*q^1/2 + 1' or '(q - 1)^2'.
 
+    The text is read by :func:`qcartan.parser.parse_element`, so scalars
+    share the expression grammar and its bounds; a letter is an error.
+    """
+    from .parser import parse_element  # the parser imports this module
 
-def _signed_chunks(text: str):
-    text = text.strip()
-    if not text:
-        raise ValueError("empty scalar")
-    out = []
-    sign = 1
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and i > start and text[i - 1] not in "^+-*/":
-            out.append((sign, text[start:i]))
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-        elif ch in "+-" and i == start:
-            if ch == "-":
-                sign = -sign
-            start = i + 1
-        i += 1
-    out.append((sign, text[start:]))
-    return out
+    scalar = _ZERO
+    for w, c in parse_element(text).terms():
+        if not w.is_empty():
+            raise ValueError(f"not a scalar: {text.strip()!r} contains {w}")
+        scalar = c
+    return scalar

@@ -17,6 +17,11 @@ from qcartan.calculus import (
 )
 from qcartan.normalizer import multiply, normalize
 from qcartan.parser import parse_element
+from qcartan.relations import (
+    builtin_presentation,
+    format_presentation,
+    load_presentation,
+)
 from qcartan.scalars import Q
 from qcartan.words import Element
 
@@ -61,6 +66,25 @@ def test_d_of_long_x_powers(table):
         "(100000) dx*x^99999"
     assert str(exterior_d(parse_element("x^-100000"), table)) == \
         "(-100000) dx*x^-100001"
+
+
+def test_d_reads_the_run_rule_from_the_table():
+    # with x . dx -> (q) dx . x the Leibniz terms of x^2 differ, so d
+    # takes one term per letter: dx x + x dx = (1 + q) dx x
+    text = format_presentation(builtin_presentation()).replace(
+        "x . dx -> dx . x", "x . dx -> (q) dx . x")
+    table = load_presentation(text)
+    x, dx = parse_element("x"), parse_element("dx")
+    leibniz = multiply(dx, x, table) + multiply(x, dx, table)
+    assert exterior_d(parse_element("x^2"), table) == leibniz
+    assert str(leibniz) == "(1 + q) dx*x"
+
+
+def test_d_of_a_y_run_is_one_term():
+    table = load_presentation(format_presentation(builtin_presentation()))
+    before = table.cache_info().get("normal_form.leftmost", 0)
+    assert str(exterior_d(parse_element("y^300"), table)) == "(300) dy*y^299"
+    assert table.cache_info()["normal_form.leftmost"] - before <= 2
 
 
 def test_substitution_splices_long_runs(table):

@@ -57,10 +57,29 @@ def test_pair_command(capsys):
     assert out == "q^-1\n"
 
 
+def test_long_powers_in_pair_and_d(capsys):
+    code, out, _ = run(capsys, "pair", "X^2000", "x")
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run(capsys, "d", "y^100000")
+    assert (code, out) == (0, "(100000) dy*y^99999\n")
+
+
 def test_q_specialization(capsys):
     code, out, _ = run(capsys, "normalize", "y*x", "--q", "2")
     assert code == 0
     assert out == "(1/2) x*y\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("normalize", "(q - 1)*x - 1/3", "--q", "9/4"), "-1/3 + (5/4) x\n"),
+    (("d", "x^2*y^3", "--q", "9/4"), "(2) dx*x*y^3 + (243/16) dy*x^2*y^2\n"),
+    (("d", "xinv*z", "--q", "3"), "(-1) dx*x^-2*z + (1/3) dz*x^-1\n"),
+    (("normalize", "x*xinv - 1", "--q", "9/4"), "0\n"),
+])
+def test_q_specialization_prints_rationals(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_q_rejects_zero(capsys):
@@ -96,6 +115,21 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("y . z + (x + y)^16", "exceeds the limit of 50000 terms"),
+    ("y . z + " + "(" * 51 + "x" + ")" * 51, "nested deeper than 50"),
+], ids=["expansion", "nesting"])
+def test_table_expression_bounds_name_line(capsys, tmp_path, rhs, message):
+    table = tmp_path / "bounds.rel"
+    table.write_text(f"# header\ny . x -> (q^-1) x . y\nz . y -> {rhs}\n",
+                     encoding="utf-8")
+    code, out, err = run(capsys, "normalize", "y*x", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3: ")
+    assert message in err
 
 
 def test_table_invariant_error_names_line(capsys, tmp_path):

@@ -32,6 +32,12 @@ def test_tangent_pairings():
     assert pair(parse_element("X"), Monomial(1, 1, 0), table).is_zero()
 
 
+def test_long_dual_word_pairs_without_recursion(table):
+    # the letters are peeled off in a loop, not one stack frame each
+    assert pair(parse_element("X^3000"), parse_element("x^2"), table) == \
+        QScalar.rational(2 ** 3000)
+
+
 def test_pairing_is_representation_independent(table):
     # y x and its normal form q^-1 x y pair equally
     raw = parse_element("y*x")

@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcartan.normalizer import (
     MissingRuleError,
+    _normal_form,
+    _pick_random,
+    _pick_rightmost,
     _positions,
     _rewrite_at,
     check_local_confluence,
@@ -110,16 +114,17 @@ def test_negative_power_chain(table):
 
 def test_normalize_report_counts_steps(table):
     report = normalize_report(parse_element("z*y*x"), table)
-    assert report.strategy == "leftmost"
     assert report.steps == 3
     assert report.output == nf("z*y*x", table)
 
 
 def test_strategies_agree_on_sample(table):
     e = parse_element("iy*dx*dy*y + px*x^2*dz")
-    left = normalize(e, table)
-    assert normalize(e, table, strategy="rightmost") == left
-    assert normalize(e, table, strategy="random", seed=7) == left
+    for w, _ in e.terms():
+        left = {v.codes: c for v, c in normalize(Element.from_word(w), table)}
+        assert _normal_form(w.codes, table, {}, _pick_rightmost, None) == left
+        assert _normal_form(w.codes, table, {}, _pick_random,
+                            random.Random(7)) == left
 
 
 def test_local_confluence_length_three(table):

@@ -131,6 +131,35 @@ def test_load_inhomogeneous_rule():
     assert t.rule("px", "x").rhs == parse_element("1 + x*px")
 
 
+def test_rule_in_expression_grammar_matches_builtin(table):
+    # the right side is read by the command-line expression parser
+    t = load_presentation("y . x -> q^-1*x*y\npx . x -> 1 + x*px\n")
+    assert t.rule("y", "x").rhs == table.rule("y", "x").rhs
+    assert t.rule("px", "x").rhs == table.rule("px", "x").rhs
+    t = load_presentation("y . xinv -> q*x⁻¹*y")
+    assert t.rule("y", "xinv").rhs == table.rule("y", "xinv").rhs
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("y . z + (x + y)^16", "exceeds the limit of 50000 terms"),
+    ("y . z + " + "(" * 51 + "x" + ")" * 51, "nested deeper than 50"),
+], ids=["expansion", "nesting"])
+def test_rule_expression_bounds_carry_line_number(rhs, message):
+    text = f"# header\ny . x -> (q^-1) x . y\nz . y -> {rhs}\n"
+    with pytest.raises(RelationError, match=f"^line 3: .*{message}"):
+        load_presentation(text)
+
+
+def test_left_side_must_be_letter_names():
+    for bad in ("x^-1 . y -> y . x^-1", "y . x^-1 -> (q) x^-1 . y",
+                "y . x . z -> x . y", "y -> y", "x . xinv -> 1"):
+        text = f"# header\n{bad}\n"
+        with pytest.raises(RelationError, match="^line 2: "):
+            load_presentation(text)
+    t = load_presentation("y . xinv -> (q) x^-1 . y")
+    assert t.rule("y", "xinv").rhs == Q * parse_element("xinv*y")
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(RelationError, match="form degree"):
         load_presentation("y . x -> x . dy")

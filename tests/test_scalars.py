@@ -84,6 +84,11 @@ def test_parse_format_round_trip(text):
     assert parse_scalar(str(s)) == s
 
 
+def test_parse_reads_the_expression_grammar():
+    assert parse_scalar("(q - 1)^2") == ONE - 2 * Q + Q ** 2
+    assert parse_scalar("q^1/2 * q^1/2") == Q
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_scalar("z")
