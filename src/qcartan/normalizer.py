@@ -14,18 +14,33 @@ which :func:`check_local_confluence` sweeps for exhaustively.
 The kernel works on integer letter codes (:attr:`Word.codes`).  An
 out-of-order pair is an index i with codes[i] > codes[i+1]; one rewrite
 step looks the pair up in the table's compiled rules (each right-hand
-side stored once as ((codes, coeff), ...)), splices
-codes[:i] + mid + codes[i+2:] for every term, and brings the result to
-canonical form with :func:`~qcartan.words.canonical_codes`, which cancels
-x/xinv and K/Kinv and drops wedge squares.  Coefficients are QScalars
-whose integral coefficients are ints, so the +-q**k rule coefficients
-multiply as machine integers.
+side stored once as ((codes, coeff), ...), a coefficient 1 as the ONE
+singleton) and splices codes[:i] + mid + codes[i+2:] for every term.
+The two slices and the compiled term are canonical already, so only a
+term whose seams can cancel (x/xinv, K/Kinv) or vanish (a repeated form
+letter), as read from a 24x24 table, goes through
+:func:`~qcartan.words.canonical_codes`.  Coefficients are QScalars whose
+integral coefficients are ints, so the +-q**k rule coefficients multiply
+as machine integers, and a ONE coefficient is not multiplied at all.
 
 Memos, the pending map of a reduction and every normal form
 {codes: coeff} are keyed by the code tuples themselves, whose hash and
-equality run in C.  A :class:`~qcartan.words.Word` is built only where
+equality run in C.  Stored normal forms are never mutated, so they are
+shared: a step to a single term with coefficient ONE stores its child's
+form object.  A :class:`~qcartan.words.Word` is built only where
 :func:`normalize` and :func:`normalize_report` return an Element, and,
 in the confluence sweep, for a divergence it reports.
+
+The sweep's other strategies reuse the table's leftmost memo.  By
+Bergman's diamond lemma a strategy need only agree with leftmost
+locally, and where it takes the same step as leftmost on children whose
+forms are leftmost's, it gets leftmost's form by the same sum.  So a
+word takes the leftmost memo's object when its picked position is the
+leftmost one and each child's form is the very object that memo holds;
+a computed form equal to the memo's is swapped for the memo's object,
+and a word in normal order takes it too.  By induction on the rewrite
+measure every form equals what a fresh reduction computes; only its
+identity changes, and the sweep compares with `is` before `==`.
 """
 
 from __future__ import annotations
@@ -35,8 +50,8 @@ from dataclasses import dataclass
 
 from .report import CheckResult
 from .scalars import ONE, QScalar
-from .words import (GENERATORS, LETTERS, Element, Word, add_term,
-                    canonical_codes, concat)
+from .words import (_INVERSE, _NILPOTENT, GENERATORS, LETTERS, Element, Word,
+                    add_term, canonical_codes, concat)
 
 
 class MissingRuleError(Exception):
@@ -62,18 +77,41 @@ def _positions(codes):
     return [i for i in range(len(codes) - 1) if codes[i] > codes[i + 1]]
 
 
+# _SEAM[a][b]: whether letter b right after letter a cancels (x/xinv,
+# K/Kinv) or vanishes (a repeated form letter).  The relation is symmetric.
+_SEAM = tuple(
+    tuple(b == _INVERSE[a] or (a == b and _NILPOTENT[a])
+          for b in range(len(LETTERS)))
+    for a in range(len(LETTERS))
+)
+_NO_SEAM = (False,) * len(LETTERS)
+
+
 def _rewrite_at(codes, i, table):
     """Apply the table rule to the letter pair at codes[i], codes[i+1].
 
     Returns a list of (code tuple or None, QScalar) replacement terms, in
-    the rule's term order; None marks a term that vanished.
+    the rule's term order; None marks a term that vanished.  The word's
+    slices and the compiled terms are canonical already, so a term goes
+    through :func:`~qcartan.words.canonical_codes` only when one of its two
+    seams can cancel or vanish.
     """
     a, b = codes[i], codes[i + 1]
     rhs = table.compiled.get((a, b))
     if rhs is None:
         raise MissingRuleError(LETTERS[a], LETTERS[b])
     left, right = codes[:i], codes[i + 2:]
-    return [(canonical_codes(left + mid + right), c) for mid, c in rhs]
+    before = _SEAM[left[-1]] if left else _NO_SEAM
+    after = _SEAM[right[0]] if right else _NO_SEAM
+    out = []
+    for mid, c in rhs:
+        w = left + mid + right
+        if mid:
+            clash = before[mid[0]] or after[mid[-1]]
+        else:
+            clash = right and before[right[0]]
+        out.append((canonical_codes(w) if clash else w, c))
+    return out
 
 
 def _pick_leftmost(_codes, positions, _rng):
@@ -94,43 +132,71 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     Iterative post-order over the rewrite dag: children of a word are the
     replacement terms of one rule application at the picked position.  The
     picked position is a function of the word (fixed once per cache), so
-    each strategy is deterministic and safely memoizable.  Keys of `cache`,
-    of the normal forms it holds and of the pending map are code tuples;
-    a stored normal form is never mutated afterwards.
+    each strategy is deterministic and safely memoizable.  A word whose
+    children are all cached is finished on its first visit; the others wait
+    in the pending map until their children are.  Keys of `cache`, of the
+    normal forms it holds and of the pending map are code tuples; a stored
+    normal form is never mutated afterwards, so one object may serve as the
+    form of several words: a step whose single surviving term has the
+    coefficient ONE stores its child's form itself.
+
+    Any other cache reuses the table's leftmost memo `ref` (exact, by
+    induction on the rewrite measure; only objects, never values, change):
+    a word on which the strategy took the leftmost step, and whose
+    children's forms are all the very objects `ref` holds for them, takes
+    `ref`'s form, since the same sum over the same forms gave it; a
+    computed form equal to `ref`'s is replaced by `ref`'s object; and a
+    word in normal order takes `ref`'s object.  Nothing is added to `ref`.
     """
     nf = cache.get(codes)
     if nf is not None:
         return nf
-    pending: dict[tuple, list] = {}
+    leftmost = table.normal_form_cache("leftmost")
+    ref = {} if cache is leftmost else leftmost
+    pending: dict[tuple, tuple] = {}
     stack = [codes]
     while stack:
         cur = stack[-1]
         if cur in cache:
             stack.pop()
             continue
-        children = pending.get(cur)
-        if children is None:
+        step = pending.pop(cur, None)
+        if step is None:
             positions = _positions(cur)
             if not positions:
-                cache[cur] = {cur: ONE}
+                nf = ref.get(cur)
+                cache[cur] = {cur: ONE} if nf is None else nf
                 stack.pop()
                 continue
             i = pick(cur, positions, rng)
             children = [
                 (w, c) for w, c in _rewrite_at(cur, i, table) if w is not None
             ]
-            pending[cur] = children
-        todo = [w for w, _ in children if w not in cache]
-        if todo:
-            stack.extend(todo)
-            continue
-        acc = {}
-        for w, c in children:
-            for nw, nc in cache[w].items():
-                add_term(acc, nw, c * nc)
-        cache[cur] = acc
-        del pending[cur]
+            same_step = i == positions[0]
+            todo = [w for w, _ in children if w not in cache]
+            if todo:
+                pending[cur] = children, same_step
+                stack.extend(todo)
+                continue
+        else:
+            children, same_step = step
         stack.pop()
+        nf = ref.get(cur)
+        if nf is not None and same_step:
+            for w, _ in children:
+                if cache[w] is not ref.get(w):
+                    break
+            else:
+                cache[cur] = nf
+                continue
+        if len(children) == 1 and children[0][1] is ONE:
+            form = cache[children[0][0]]
+        else:
+            form = {}
+            for w, c in children:
+                for nw, nc in cache[w].items():
+                    add_term(form, nw, nc if c is ONE else c * nc)
+        cache[cur] = nf if nf is not None and form == nf else form
     return cache[codes]
 
 
@@ -330,7 +396,8 @@ def check_local_confluence(
     for strategy, pick, rng in alternatives:
         alt_cache: dict = {}
         for w, ref in zip(words, reference):
-            if _normal_form(w, table, alt_cache, pick, rng) != ref:
+            nf = _normal_form(w, table, alt_cache, pick, rng)
+            if nf is not ref and nf != ref:
                 divergences.append((Word(w), "leftmost", strategy))
     return ConfluenceReport(
         max_len=max_len,

@@ -51,6 +51,7 @@ MAX_EXPANSION_LETTERS = 1_000_000
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
+        self.reason = message
         self.position = position
         super().__init__(f"{message} (at position {position})")
 

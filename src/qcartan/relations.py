@@ -19,8 +19,9 @@ The left side is two letter names as printed (`xinv`, not `x^-1`).  The
 right side is any expression of :mod:`qcartan.parser`, read by the same
 :func:`~qcartan.parser.parse_element` as command-line input and under the
 same exponent, nesting and expansion bounds; a parse error is reported
-as a :class:`RelationError` naming the line.  :func:`format_presentation`
-writes terms as `(<scalar>) f1 . f2 ...` with factors `name^exp`.
+as a :class:`RelationError` naming the line and the position within it.
+:func:`format_presentation` writes terms as `(<scalar>) f1 . f2 ...` with
+factors `name^exp`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 
 from .normalizer import _positions
-from .parser import parse_element
+from .parser import ParseError, parse_element
 from .scalars import ONE
 from .words import (
     GENERATORS,
@@ -91,8 +92,9 @@ class RelationTable:
     are carried along but do not affect identity).
 
     `compiled` maps each rule's pair of letter codes (positions) to its
-    right-hand side as ((codes, coeff), ...), in the rule's term order;
-    the rewrite kernel reads it in place of :meth:`rewrite`.
+    right-hand side as ((codes, coeff), ...), in the rule's term order,
+    with a coefficient equal to 1 stored as the ONE singleton; the rewrite
+    kernel reads it in place of :meth:`rewrite`.
     """
 
     def __init__(self, rules):
@@ -111,7 +113,8 @@ class RelationTable:
             by_pair[k] for k in sorted(by_pair)
         )
         self.compiled = {
-            key: tuple((w.codes, c) for w, c in rule.rhs.terms())
+            key: tuple((w.codes, ONE if c == ONE else c)
+                       for w, c in rule.rhs.terms())
             for key, rule in by_pair.items()
         }
         self._by_pair = by_pair
@@ -309,6 +312,12 @@ def _parse_rule_line(line: str, line_no=None):
         raise RelationError("left side must be a product of two letters", line_no)
     try:
         rhs = parse_element(m.group("rhs"))
+    except ParseError as exc:
+        # the position within the line, not within the right side
+        indent = len(line) - len(line.lstrip())
+        position = indent + m.start("rhs") + exc.position
+        raise RelationError(str(ParseError(exc.reason, position)),
+                            line_no) from None
     except ValueError as exc:
         raise RelationError(str(exc), line_no) from None
     prov = (m.group("prov") or "").split()

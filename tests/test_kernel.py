@@ -2,10 +2,11 @@
 objects only in the Elements it returns, the sweep's power to fail, and
 the monomial fast path of QScalar multiplication."""
 
+import hashlib
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcartan.calculus import act, exterior_d
 from qcartan.normalizer import (
@@ -22,6 +23,7 @@ from qcartan.normalizer import (
 )
 from qcartan.parser import parse_element
 from qcartan.relations import (
+    RelationTable,
     builtin_presentation,
     format_presentation,
     load_presentation,
@@ -95,10 +97,7 @@ def test_returned_elements_are_keyed_by_words(table):
 
 
 def test_sweep_fails_on_corrupted_table():
-    text = format_presentation(builtin_presentation())
-    assert GOOD_RULE in text
-    bad = load_presentation(text.replace(GOOD_RULE, BAD_RULE))
-    report = check_local_confluence(bad, 3)
+    report = check_local_confluence(_bad_table(), 3)
     assert report.passed is False
     assert report.words_checked == 5529
     assert len(report.divergences) == 15
@@ -106,6 +105,46 @@ def test_sweep_fails_on_corrupted_table():
     lines = str(report).splitlines()
     assert lines[0].startswith("FAIL confluence: 5529 words")
     assert lines[1] == "  px*x*dy: leftmost and rightmost disagree"
+
+
+def _bad_table():
+    text = format_presentation(builtin_presentation())
+    assert GOOD_RULE in text
+    return load_presentation(text.replace(GOOD_RULE, BAD_RULE))
+
+
+_BAD_TABLE = _bad_table()
+
+
+def test_length_four_sweep_pins_bad_table():
+    # the report of the sweep before the strategies reused the leftmost memo
+    report = check_local_confluence(_bad_table(), 4)
+    assert report.words_checked == 78996
+    assert len(report.divergences) == 803
+    digest = hashlib.md5(str(report).encode()).hexdigest()
+    assert digest == "c8a8c9e3909a074cbe54b0992bd5fc67"
+
+
+@settings(max_examples=100, deadline=None)
+@given(covered_codes, st.integers(0, 2**32))
+@example(canonical_codes(GENERATORS[n].position for n in ("px", "x", "dy")), 1)
+def test_strategies_agree_with_and_without_the_leftmost_memo(codes, seed):
+    """Reusing the warm leftmost memo changes no form, even on the bad
+    table, where px*x*dy reduces differently under leftmost and rightmost."""
+    if codes is None:
+        return
+    for table in (builtin_presentation(), _BAD_TABLE):
+        cold = RelationTable(table.rules)
+        leftmost = table.normal_form_cache("leftmost")
+        for pick, rng in ((_pick_rightmost, lambda: None),
+                          (_pick_random, lambda: random.Random(seed))):
+            visited = {}
+            expected = _normal_form(codes, cold, visited, pick, rng())
+            # warm the leftmost memo with every word the strategy visits
+            for w in visited:
+                _normal_form(w, table, leftmost, _pick_leftmost, None)
+            assert _normal_form(codes, table, {}, pick, rng()) == expected
+        assert not cold.cache_info().get("normal_form.leftmost")
 
 
 def test_monomial_product_stays_exact():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcartan.normalizer import (
     MissingRuleError,
@@ -19,7 +19,7 @@ from qcartan.normalizer import (
 from qcartan.parser import parse_element
 from qcartan.relations import builtin_presentation
 from qcartan.scalars import Q, Q_INV
-from qcartan.words import GENERATORS, Element, make_word
+from qcartan.words import GENERATORS, LETTERS, Element, make_word
 
 
 def nf(text, table):
@@ -180,6 +180,16 @@ rewrite_letters = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rewrite_letters, min_size=2, max_size=6))
+# seams: a neighbour of the rewritten pair cancels against a term's first
+# or last letter (x/xinv), repeats a form letter there, or meets the other
+# neighbour across a constant term
+@example("xinv y x".split())
+@example("x dy xinv".split())
+@example("dy x dy".split())
+@example("dy dx dy".split())
+@example("xinv px x x".split())
+@example("dx iy dy dx".split())
+@example("xinv xinv y x x".split())
 def test_rewrite_at_agrees_with_reference(names):
     table = builtin_presentation()
     word = make_word((n, 1) for n in names)
@@ -196,3 +206,35 @@ def test_rewrite_at_agrees_with_reference(names):
         assert _rewrite_at(word.codes, i, table) == [
             (None if w is None else w.codes, c) for w, c in expected
         ]
+
+
+def test_rewrite_at_every_rule_seam_agrees_with_reference():
+    """Every rule term, flanked by each letter that cancels or repeats its
+    first or last letter."""
+    table = builtin_presentation()
+
+    def clashing(code):
+        g = LETTERS[code]
+        out = [None] + ([g.name] if g.form_degree else [])
+        return out + ([g.inverse_name] if g.inverse_name else [])
+
+    canonicalized = 0
+    for (a, b), rhs in table.compiled.items():
+        for mid, _ in rhs:
+            lefts = clashing(mid[0]) if mid else [None, "x", "xinv", "dx"]
+            rights = clashing(mid[-1]) if mid else [None, "x", "xinv", "dx"]
+            for lname in lefts:
+                for rname in rights:
+                    names = [n for n in (lname, LETTERS[a].name,
+                                         LETTERS[b].name, rname) if n]
+                    word = make_word((n, 1) for n in names)
+                    if word is None or len(word) != len(names):
+                        continue
+                    i = 1 if lname else 0
+                    expected = _reference_rewrite(word, i, table)
+                    got = _rewrite_at(word.codes, i, table)
+                    assert got == [(None if w is None else w.codes, c)
+                                   for w, c in expected], names
+                    canonicalized += sum(
+                        w is None or len(w) < len(word) for w, _ in got)
+    assert canonicalized > 400  # 425 terms on the builtin table

@@ -207,6 +207,21 @@ def test_parse_error_carries_line_number():
             load_presentation(text)
 
 
+def test_parse_error_position_counts_from_the_start_of_the_line():
+    with pytest.raises(RelationError) as info:
+        load_presentation("# h\ny . x -> (q^-1) x*y + ")
+    assert str(info.value) == \
+        "line 2: unexpected end of input (at position 21)"
+    # each error points at the offending token of the line
+    for line, token in (("z . y -> y . z + ?", "?"),
+                        ("  z . y -> (q) y . z + x . bogus", "bogus"),
+                        ("z . y -> y^1/2 . z  # coordinates", "1/2")):
+        with pytest.raises(RelationError) as info:
+            load_presentation(line)
+        assert str(info.value).endswith(
+            f"(at position {line.index(token)})")
+
+
 def test_missing_swap_term_rejected():
     with pytest.raises(RelationError, match="leading term"):
         load_presentation("y . x -> 1")
