@@ -54,6 +54,6 @@ from .duality import (
     check_identification,
     pair,
 )
-from .parser import ParseError, format_expr, parse, parse_element
+from .parser import ParseError, parse_element
 
 __version__ = "0.1.0"

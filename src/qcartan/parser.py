@@ -11,36 +11,42 @@ only.
     factor := atom ('^' ['-'] number)?
     atom   := number | 'q' | name | '(' expr ')'
 
+The parser evaluates as it reads: there is no syntax tree, and each
+rule returns its value as an :class:`~qcartan.words.Element` (or, for a
+bare number, `q` power or letter, a tag that `^` needs).  So errors are
+reported in reading order: `y^-1 + )` reports the negative power of `y`,
+not the stray parenthesis after it.  The one printer is
+``str(Element)``, and the parser reads what it prints.
+
 Numbers are exact rationals (`3`, `3/4`); `q` powers admit half-integer
-exponents (`q^1/2`); every exponent is bounded in absolute value by
+exponents (`q^1/2`, and `(q^2)^1/2` is `q`, but `(q^1/2)^1/2` is an
+error); every exponent is bounded in absolute value by
 :data:`~qcartan.words.MAX_EXPONENT`, and parentheses nest at most
-:data:`MAX_NESTING` deep, so that parsing and evaluating the tree stay
-far inside Python's recursion limit.  Products are expanded freely, and
-no single product may pair up more than :data:`MAX_EXPANSION` terms or
-write more than :data:`MAX_EXPANSION_LETTERS` letters, so a power or a
-long product of sums is an error rather than an expansion that doubles
-per factor.  Unicode spellings of the operator
-letters are accepted on input; output is plain ASCII.
+:data:`MAX_NESTING` deep, so that parsing stays far inside Python's
+recursion limit.  Products are expanded freely, and no single product
+may pair up more than :data:`MAX_EXPANSION` terms or write more than
+:data:`MAX_EXPANSION_LETTERS` letters, so a power or a long product of
+sums is an error rather than an expansion that doubles per factor.
+Unicode spellings of the operator letters are accepted on input; output
+is plain ASCII.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .scalars import QScalar
 from .words import Element, GENERATORS, MAX_EXPONENT, concat, make_word
 
-# Each nesting level costs four parser frames, up to three frames of
-# to_element or format_expr, and up to ten when two trees are compared
-# with ==, so 50 levels stay well under the default recursion limit of
-# 1000.
+# Each nesting level costs four parser frames (expr, term, factor, atom),
+# so 50 levels take about 200 frames, well under the default recursion
+# limit of 1000.
 MAX_NESTING = 50
 
 # Largest number of term pairs one free product may form: the sizes of the
-# two factors multiplied, checked before every product of to_element.
+# two factors multiplied, checked before every product the parser forms.
 # (x+y)^15 forms 32,768 and (x+y+z)^9 19,683; (x+y)^16 is refused.
 MAX_EXPANSION = 50_000
 # Largest number of letters one free product may write, summed over its
@@ -83,44 +89,6 @@ def _aliases():
 ALIASES = _aliases()
 
 
-# --- abstract syntax -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Expr:
-    pass
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class QPow(Expr):
-    halves: int  # q**(halves/2)
-
-
-@dataclass(frozen=True)
-class Gen(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple  # of (sign, Expr)
-
-
 # --- tokenizer -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -155,8 +123,17 @@ def _fraction(value: str, pos: int) -> Fraction:
 
 
 class _Parser:
+    """Recursive descent that evaluates as it reads.
+
+    Each grammar method returns a tagged value: ("num", Fraction),
+    ("q", halves) for q**(halves/2), ("letter", name) or ("elem",
+    Element).  A bare number, q power or letter keeps its tag through
+    parentheses, so that `^` can treat it exactly: a letter power is one
+    word, a number power a rational, a q power a q power; every other
+    base is an element, expanded by repeated squaring.
+    """
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # open parentheses
@@ -175,49 +152,39 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.next()
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", pos)
-        return e
-
-    def expr(self) -> Expr:
-        terms = []
+    def expr(self):
         sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.next()
             sign = -1 if value == "-" else 1
-        terms.append((sign, self.term()))
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                terms.append((1 if value == "+" else -1, self.term()))
-            else:
-                break
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        return Sum(tuple(terms))
+        first = self.term()
+        kind, op, _ = self.peek()
+        if sign == 1 and not (kind == "op" and op in "+-"):
+            return first
+        first = _element(first)
+        out = Element.zero() + (first if sign > 0 else -first)
+        while kind == "op" and op in "+-":
+            self.next()
+            term = _element(self.term())
+            out = out + (term if op == "+" else -term)
+            kind, op, _ = self.peek()
+        return "elem", out
 
-    def term(self) -> Expr:
-        factors = [self.factor()]
+    def term(self):
+        out = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*.":
                 self.next()
-                factors.append(self.factor())
-            elif kind in ("number", "name") or (kind == "op" and value == "("):
-                # juxtaposition, as in the canonical printer's "(q^-1) x*y"
-                factors.append(self.factor())
-            else:
+            elif not (kind in ("number", "name")
+                      or (kind == "op" and value == "(")):
                 break
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors))
+            # '*', '.' or juxtaposition, as in the printer's "(q^-1) x*y"
+            out = "elem", _product(_element(out), _element(self.factor()))
+        return out
 
-    def factor(self) -> Expr:
+    def factor(self):
         atom = self.atom()
         kind, value, _ = self.peek()
         if not (kind == "op" and value == "^"):
@@ -236,26 +203,46 @@ class _Parser:
         if abs(exp) > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {exp} exceeds the limit {MAX_EXPONENT}", pos)
-        if isinstance(atom, QPow):
-            half = exp * 2
-            if half.denominator != 1:
-                raise ParseError(f"exponent {exp} of q is not a half-integer", pos)
-            return QPow(int(half) * atom.halves // 2)
+        tag, base = atom
+        if tag == "q":
+            halves = base * exp
+            if halves.denominator != 1:
+                raise ParseError(
+                    f"exponent {halves / 2} of q is not a half-integer", pos)
+            return "q", int(halves)
         if exp.denominator != 1:
             raise ParseError(f"exponent {exp} is not an integer", pos)
-        return Pow(atom, int(exp))
+        n = int(exp)
+        if tag == "letter":
+            return "elem", Element.from_word(make_word([(base, n)]))
+        if tag == "num":
+            if base == 0 and n < 0:
+                raise ParseError(f"0 to the power {n} is not defined", pos)
+            return "elem", Element.scalar(QScalar.rational(base ** n))
+        if n < 0:
+            raise ValueError("negative powers are only defined for x and K")
+        # repeated squaring (concat is associative): O(log n) products, so
+        # the work is linear in the length of the result, not quadratic
+        out = Element.one()
+        while n:
+            if n & 1:
+                out = _product(out, base)
+            n >>= 1
+            if n:
+                base = _product(base, base)
+        return "elem", out
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, value, pos = self.next()
         if kind == "number":
-            return Num(_fraction(value, pos))
+            return "num", _fraction(value, pos)
         if kind == "name":
             if value == "q":
-                return QPow(2)
+                return "q", 2
             name = ALIASES.get(value)
             if name is None:
                 raise ParseError(f"unknown generator name {value!r}", pos)
-            return Gen(name)
+            return "letter", name
         if kind == "op" and value == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -268,89 +255,16 @@ class _Parser:
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse(text: str) -> Expr:
-    """Parse a textual expression to abstract syntax."""
-    return _Parser(text).parse()
-
-
-def format_expr(e: Expr) -> str:
-    """Canonical ASCII rendering; parse(format_expr(parse(s))) == parse(s)."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, QPow):
-        if e.halves == 2:
-            return "q"
-        if e.halves % 2 == 0:
-            return f"q^{e.halves // 2}"
-        return f"q^{Fraction(e.halves, 2)}"
-    if isinstance(e, Gen):
-        return e.name
-    if isinstance(e, Pow):
-        base = format_expr(e.base)
-        if not isinstance(e.base, (Gen, Num)):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Mul):
-        parts = []
-        for f in e.factors:
-            text = format_expr(f)
-            if isinstance(f, Sum):
-                text = f"({text})"
-            parts.append(text)
-        return "*".join(parts)
-    if isinstance(e, Sum):
-        out = ""
-        for sign, term in e.terms:
-            text = format_expr(term)
-            if isinstance(term, Sum):
-                text = f"({text})"
-            if not out:
-                out = text if sign > 0 else f"-{text}"
-            else:
-                out += f" + {text}" if sign > 0 else f" - {text}"
-        return out
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def to_element(e: Expr) -> Element:
-    """Evaluate abstract syntax to an element (free products, unnormalized)."""
-    if isinstance(e, Num):
-        return Element.scalar(QScalar.rational(e.value))
-    if isinstance(e, QPow):
-        return Element.scalar(QScalar._raw({e.halves: 1}))
-    if isinstance(e, Gen):
-        return _letter(e.name)
-    if isinstance(e, Pow):
-        if isinstance(e.base, Gen):
-            word = make_word([(e.base.name, e.exponent)])
-            return Element.from_word(word)
-        if isinstance(e.base, Num):
-            return Element.scalar(QScalar.rational(e.base.value ** e.exponent))
-        if e.exponent < 0:
-            raise ValueError("negative powers are only defined for x and K")
-        # repeated squaring (concat is associative): O(log n) products, so
-        # the work is linear in the length of the result, not quadratic
-        out = Element.one()
-        base = to_element(e.base)
-        n = e.exponent
-        while n:
-            if n & 1:
-                out = _product(out, base)
-            n >>= 1
-            if n:
-                base = _product(base, base)
-        return out
-    if isinstance(e, Mul):
-        out = to_element(e.factors[0])
-        for f in e.factors[1:]:
-            out = _product(out, to_element(f))
-        return out
-    if isinstance(e, Sum):
-        out = Element.zero()
-        for sign, term in e.terms:
-            out = out + (to_element(term) if sign > 0 else -to_element(term))
-        return out
-    raise TypeError(f"not an expression: {e!r}")
+def _element(value) -> Element:
+    """The element of a tagged parser value."""
+    tag, v = value
+    if tag == "elem":
+        return v
+    if tag == "letter":
+        return _letter(v)
+    if tag == "num":
+        return Element.scalar(QScalar.rational(v))
+    return Element.scalar(QScalar._raw({v: 1}))
 
 
 @cache
@@ -378,5 +292,11 @@ def _product(a: Element, b: Element) -> Element:
 
 
 def parse_element(text: str) -> Element:
-    """Parse straight to an (unnormalized) element."""
-    return to_element(parse(text))
+    """Parse and evaluate text to an (unnormalized) element: products are
+    free concatenations, nothing is normal-ordered."""
+    parser = _Parser(text)
+    value = parser.expr()
+    kind, tok, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {tok!r}", pos)
+    return _element(value)

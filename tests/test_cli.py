@@ -117,6 +117,20 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("normalize", "0^-1"), "0 to the power -1 is not defined (at position 3)"),
+    (("normalize", "(q^1/2)^1/2"),
+     "exponent 1/4 of q is not a half-integer (at position 8)"),
+    # evaluation as the text is read: the first error is the one reported
+    (("normalize", "y^-1 + )"), "negative power of y is not defined"),
+], ids=["zero", "q-quarter", "reading-order"])
+def test_expression_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("rhs, message", [
     ("y . z + (x + y)^16", "exceeds the limit of 50000 terms"),
     ("y . z + " + "(" * 51 + "x" + ")" * 51, "nested deeper than 50"),

@@ -222,6 +222,19 @@ def test_parse_error_position_counts_from_the_start_of_the_line():
             f"(at position {line.index(token)})")
 
 
+def test_bad_powers_in_a_rule_name_the_line():
+    with pytest.raises(RelationError) as info:
+        load_presentation("# h\ny . x -> 0^-1 x*y\n")
+    assert str(info.value) == \
+        "line 2: 0 to the power -1 is not defined (at position 12)"
+    with pytest.raises(RelationError) as info:
+        load_presentation("# h\ny . x -> (q^1/2)^1/2 x*y\n")
+    assert str(info.value) == \
+        "line 2: exponent 1/4 of q is not a half-integer (at position 17)"
+    table = load_presentation("# h\ny . x -> (q^2)^1/2 x*y\n")
+    assert table.rule("y", "x").rhs == Q * parse_element("x*y")
+
+
 def test_missing_swap_term_rejected():
     with pytest.raises(RelationError, match="leading term"):
         load_presentation("y . x -> 1")

@@ -89,6 +89,17 @@ def test_parse_reads_the_expression_grammar():
     assert parse_scalar("q^1/2 * q^1/2") == Q
 
 
+def test_parse_rejects_bad_powers():
+    from qcartan.parser import ParseError
+
+    with pytest.raises(ParseError, match="0 to the power -1 is not defined"):
+        parse_scalar("0^-1")
+    with pytest.raises(ParseError, match="exponent 1/4 of q is not a half"):
+        parse_scalar("(q^1/2)^1/2")
+    assert parse_scalar("(q^2)^1/2") == Q
+    assert parse_scalar("(q^1/2)^3") == Q * Q_HALF
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_scalar("z")
