@@ -31,16 +31,30 @@ form object.  A :class:`~qcartan.words.Word` is built only where
 :func:`normalize` and :func:`normalize_report` return an Element, and,
 in the confluence sweep, for a divergence it reports.
 
-The sweep's other strategies reuse the table's leftmost memo.  By
-Bergman's diamond lemma a strategy need only agree with leftmost
-locally, and where it takes the same step as leftmost on children whose
-forms are leftmost's, it gets leftmost's form by the same sum.  So a
-word takes the leftmost memo's object when its picked position is the
-leftmost one and each child's form is the very object that memo holds;
-a computed form equal to the memo's is swapped for the memo's object,
-and a word in normal order takes it too.  By induction on the rewrite
-measure every form equals what a fresh reduction computes; only its
-identity changes, and the sweep compares with `is` before `==`.
+The sweep proves that every strategy agrees with leftmost before it runs
+any.  Bergman's diamond lemma asks only local agreement, and the sweep
+checks it on the memo leftmost has just filled: for every word reachable
+from a swept word by rewriting at any out-of-order position, and for every
+such position, the one-step reduct c1*w1 + c2*w2 + ... must have the same
+leftmost form, c1*L(w1) + c2*L(w2) + ..., as the word itself.  Then any
+strategy, whatever positions it picks (so whatever its rng draws),
+reaches L(w), by induction on the rewrite measure: a word in normal order
+is its own form, and otherwise the strategy's form of w is the sum, over
+the children of the position it picked, of its forms of those children,
+which are their leftmost forms.  Only when this check fails (a reduct
+that does not resolve, a word missing from the memo, a pair without a
+rule) does the sweep run the other strategies, each with a fresh cache,
+to name which diverges where.
+
+Those strategies then reuse the table's leftmost memo.  Where a strategy
+takes the same step as leftmost on children whose forms are leftmost's,
+it gets leftmost's form by the same sum.  So a word takes the leftmost
+memo's object when its picked position is the leftmost one and each
+child's form is the very object that memo holds; a computed form equal
+to the memo's is swapped for the memo's object, and a word in normal
+order takes it too.  By induction on the rewrite measure every form
+equals what a fresh reduction computes; only its identity changes, and
+the sweep compares with `is` before `==`.
 """
 
 from __future__ import annotations
@@ -189,15 +203,23 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
             else:
                 cache[cur] = nf
                 continue
-        if len(children) == 1 and children[0][1] is ONE:
-            form = cache[children[0][0]]
-        else:
-            form = {}
-            for w, c in children:
-                for nw, nc in cache[w].items():
-                    add_term(form, nw, nc if c is ONE else c * nc)
+        form = _combine(children, cache)
         cache[cur] = nf if nf is not None and form == nf else form
     return cache[codes]
+
+
+def _combine(children, forms: dict) -> dict:
+    """The form c1*F(w1) + c2*F(w2) + ... of one step to the children
+    [(w1, c1), (w2, c2), ...], with each F(w) read from `forms` (KeyError
+    if one is missing).  A single child with coefficient ONE gives its
+    form object itself."""
+    if len(children) == 1 and children[0][1] is ONE:
+        return forms[children[0][0]]
+    form: dict[tuple, QScalar] = {}
+    for w, c in children:
+        for nw, nc in forms[w].items():
+            add_term(form, nw, nc if c is ONE else c * nc)
+    return form
 
 
 def normalize(e: Element, table) -> Element:
@@ -335,29 +357,17 @@ def _closure_ok(names, covered, introduces):
         names = grown
 
 
-def check_local_confluence(
-    table, max_len: int, seeds=(1, 2, 3, 4, 5)
-) -> ConfluenceReport:
-    """Normalize every coverable word of length <= max_len under leftmost,
-    rightmost and per-seed randomized strategies, and compare the results.
+def _sweep_words(table, max_len: int):
+    """The canonical code tuples of the sweep, and the count of letter
+    sequences skipped because their letter closure hits a pair without a
+    rule.
 
-    Words whose letter closure hits a pair without a rule are skipped
-    (they cannot be normalized at all); divergences are reported with the
-    two strategies that disagree.
+    Words are enumerated as letter-code sequences of length <= max_len,
+    prefiltered by pairwise rule coverage (with introduced-letter closure).
     """
-    if max_len < 3:
-        raise ValueError("max_len must be at least 3")
     letters = sorted({r.left.name for r in table.rules}
                      | {r.right.name for r in table.rules})
     covered, introduces = _coverage(table)
-    # (name, pick, rng) of each strategy compared against leftmost
-    alternatives = [("rightmost", _pick_rightmost, None)] + [
-        (f"random:{seed}", _pick_random, random.Random(seed))
-        for seed in seeds
-    ]
-
-    # Enumerate candidate words as letter-code tuples, prefiltered by
-    # pairwise rule coverage (with introduced-letter closure).
     ok_sets: dict[frozenset, bool] = {}
     subtree = [1] * (max_len + 1)  # sequences rooted at depth d, incl. the root
     for d in range(max_len - 1, -1, -1):
@@ -385,13 +395,65 @@ def check_local_confluence(
                 words.append(w)
             if len(seq) < max_len:
                 stack.append((seq, names))
+    return words, skipped
 
+
+def _resolves_locally(words, table, leftmost: dict) -> bool:
+    """Whether every one-step reduct of every word reachable from `words`
+    has, read from the leftmost memo, the word's own leftmost form.
+
+    Walks the closure of `words` under rewriting at every out-of-order
+    position.  At each position other than the leftmost, the children
+    [(w1, c1), ...] of the step must give c1*L(w1) + c2*L(w2) + ... = L(w),
+    L being `leftmost`; the leftmost step gave L(w) by construction, but
+    its children are walked too.  A word or child missing from the memo,
+    or a pair without a rule, makes the answer False, never an exception.
+    Only reads `leftmost`.
+    """
+    seen = set(words)
+    stack = list(words)
+    while stack:
+        cur = stack.pop()
+        nf = leftmost.get(cur)
+        if nf is None:
+            return False
+        positions = _positions(cur)
+        for i in positions:
+            try:
+                terms = _rewrite_at(cur, i, table)
+            except MissingRuleError:
+                return False
+            children = [(w, c) for w, c in terms if w is not None]
+            if i != positions[0]:
+                try:
+                    form = _combine(children, leftmost)
+                except KeyError:
+                    return False
+                if form is not nf and form != nf:
+                    return False
+            for w, _ in children:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return True
+
+
+def _divergences(table, words, alternatives) -> tuple:
+    """(Word, "leftmost", strategy) for every word of `words` whose normal
+    form under one of the `alternatives` (name, pick, rng) differs from
+    its leftmost form.
+
+    The other strategies run only if :func:`_resolves_locally` fails on
+    the leftmost memo; when it holds, every strategy reaches the leftmost
+    form, so there is nothing to compare.
+    """
+    cache = table.normal_form_cache("leftmost")
     # Normal forms are compared as the memo dicts themselves: stored forms
     # are never mutated, so no copy is needed.
-    cache = table.normal_form_cache("leftmost")
     reference = [_normal_form(w, table, cache, _pick_leftmost, None)
                  for w in words]
-
+    if _resolves_locally(words, table, cache):
+        return ()
     divergences = []
     for strategy, pick, rng in alternatives:
         alt_cache: dict = {}
@@ -399,10 +461,41 @@ def check_local_confluence(
             nf = _normal_form(w, table, alt_cache, pick, rng)
             if nf is not ref and nf != ref:
                 divergences.append((Word(w), "leftmost", strategy))
+    return tuple(divergences)
+
+
+def check_local_confluence(
+    table, max_len: int, seeds=(1, 2, 3, 4, 5)
+) -> ConfluenceReport:
+    """Check that every coverable word of length <= max_len has one normal
+    form under leftmost, rightmost and per-seed randomized strategies.
+
+    Every word is reduced leftmost first.  Then one pass over the leftmost
+    memo checks that each one-step reduct of each word reachable from
+    them resolves to the word's leftmost form; by induction on the rewrite
+    measure, every strategy then reaches the leftmost form, whatever
+    positions it picks, and the report passes without running the others.
+    Only when a reduct does not resolve, a word is missing from the memo
+    or a pair has no rule are rightmost and each seeded random strategy
+    run, each with a fresh cache and its own `random.Random(seed)`, and
+    every word where one differs from leftmost is reported as a
+    divergence.
+
+    Words whose letter closure hits a pair without a rule are skipped
+    (they cannot be normalized at all).
+    """
+    if max_len < 3:
+        raise ValueError("max_len must be at least 3")
+    # (name, pick, rng) of each strategy compared against leftmost
+    alternatives = [("rightmost", _pick_rightmost, None)] + [
+        (f"random:{seed}", _pick_random, random.Random(seed))
+        for seed in seeds
+    ]
+    words, skipped = _sweep_words(table, max_len)
     return ConfluenceReport(
         max_len=max_len,
         strategies=("leftmost", *(s for s, _, _ in alternatives)),
         words_checked=len(words),
         words_skipped=skipped,
-        divergences=tuple(divergences),
+        divergences=_divergences(table, words, alternatives),
     )
