@@ -32,19 +32,23 @@ form object.  A :class:`~qcartan.words.Word` is built only where
 in the confluence sweep, for a divergence it reports.
 
 The sweep proves that every strategy agrees with leftmost before it runs
-any.  Bergman's diamond lemma asks only local agreement, and the sweep
-checks it on the memo leftmost has just filled: for every word reachable
-from a swept word by rewriting at any out-of-order position, and for every
-such position, the one-step reduct c1*w1 + c2*w2 + ... must have the same
-leftmost form, c1*L(w1) + c2*L(w2) + ..., as the word itself.  Then any
-strategy, whatever positions it picks (so whatever its rng draws),
-reaches L(w), by induction on the rewrite measure: a word in normal order
-is its own form, and otherwise the strategy's form of w is the sum, over
-the children of the position it picked, of its forms of those children,
-which are their leftmost forms.  Only when this check fails (a reduct
-that does not resolve, a word missing from the memo, a pair without a
-rule) does the sweep run the other strategies, each with a fresh cache,
-to name which diverges where.
+any.  Bergman's diamond lemma asks only local agreement, and one
+post-order walk over the words reachable from the swept words, by
+rewriting at any out-of-order position, both fills the leftmost memo and
+checks it: each word is rewritten once at every such position, and once
+the children of all those steps are finished, its leftmost form L(w) is
+stored (the leftmost step's c1*L(w1) + c2*L(w2) + ..., or the memo's
+entry if it has one), and every other step's one-step reduct must give
+that same form.  Then any strategy, whatever positions it picks (so
+whatever its rng draws), reaches L(w), by induction on the rewrite
+measure: a word in normal order is its own form, and otherwise the
+strategy's form of w is the sum, over the children of the position it
+picked, of its forms of those children, which are their leftmost forms.
+Only when the walk stops (a reduct that does not resolve, a pair without
+a rule) does the sweep reduce every word leftmost through
+:func:`_normal_form` and then run the other strategies, each with a
+fresh cache, to name which diverges where, or to raise the
+MissingRuleError of the first reduction that meets the pair.
 
 Those strategies then reuse the table's leftmost memo.  Where a strategy
 takes the same step as leftmost on children whose forms are leftmost's,
@@ -364,11 +368,14 @@ def _sweep_words(table, max_len: int):
 
     Words are enumerated as letter-code sequences of length <= max_len,
     prefiltered by pairwise rule coverage (with introduced-letter closure).
+    The closure verdict is memoized per letter set, kept as a bitmask of
+    letter codes, and each sequence's canonical form extends its prefix's
+    by one letter, which cancels or vanishes against the prefix's last.
     """
     letters = sorted({r.left.name for r in table.rules}
                      | {r.right.name for r in table.rules})
     covered, introduces = _coverage(table)
-    ok_sets: dict[frozenset, bool] = {}
+    ok_sets: dict[int, bool] = {}
     subtree = [1] * (max_len + 1)  # sequences rooted at depth d, incl. the root
     for d in range(max_len - 1, -1, -1):
         subtree[d] = 1 + len(letters) * subtree[d + 1]
@@ -376,65 +383,81 @@ def _sweep_words(table, max_len: int):
     words: list[tuple] = []
     seen: set[tuple] = set()
     skipped = 0
-    stack = [((), frozenset())]
+    # (length, letter mask, canonical form or None) of each prefix
+    stack = [(0, 0, ())]
     while stack:
-        prefix, nameset = stack.pop()
-        for name, code in letter_codes:
-            names = nameset | {name}
-            ok = ok_sets.get(names)
+        depth, mask, prefix = stack.pop()
+        depth += 1
+        seam = _SEAM[prefix[-1]] if prefix else _NO_SEAM
+        for _, code in letter_codes:
+            m = mask | 1 << code
+            ok = ok_sets.get(m)
             if ok is None:
-                ok = _closure_ok(names, covered, introduces)
-                ok_sets[names] = ok
-            seq = prefix + (code,)
+                names = {n for n, c in letter_codes if m >> c & 1}
+                ok = ok_sets[m] = _closure_ok(names, covered, introduces)
             if not ok:
-                skipped += subtree[len(seq)]
+                skipped += subtree[depth]
                 continue
-            w = canonical_codes(seq)
+            if prefix is None:
+                w = None
+            elif seam[code]:
+                w = None if prefix[-1] == code else prefix[:-1]
+            else:
+                w = prefix + (code,)
             if w is not None and w not in seen:
                 seen.add(w)
                 words.append(w)
-            if len(seq) < max_len:
-                stack.append((seq, names))
+            if depth < max_len:
+                stack.append((depth, m, w))
     return words, skipped
 
 
-def _resolves_locally(words, table, leftmost: dict) -> bool:
+def _closure_resolves(words, table, memo: dict) -> bool:
     """Whether every one-step reduct of every word reachable from `words`
-    has, read from the leftmost memo, the word's own leftmost form.
+    resolves to the word's leftmost form; fills `memo` with those forms.
 
-    Walks the closure of `words` under rewriting at every out-of-order
-    position.  At each position other than the leftmost, the children
-    [(w1, c1), ...] of the step must give c1*L(w1) + c2*L(w2) + ... = L(w),
-    L being `leftmost`; the leftmost step gave L(w) by construction, but
-    its children are walked too.  A word or child missing from the memo,
-    or a pair without a rule, makes the answer False, never an exception.
-    Only reads `leftmost`.
+    One iterative post-order walk over the closure of `words` under
+    rewriting at every out-of-order position.  Each word is rewritten once
+    at each of its positions; once the children of all those steps are
+    finished, the word's leftmost form L(w) is the memo's entry if it has
+    one, else the leftmost step's c1*L(w1) + c2*L(w2) + ..., stored in
+    `memo`; every other step's children must then give that same form.
+    Returns False at the first reduct that does not resolve or the first
+    pair without a rule, never raising; entries stored by then stay, and
+    are the leftmost forms :func:`_normal_form` would store.
     """
-    seen = set(words)
+    done: set[tuple] = set()
+    pending: dict[tuple, list] = {}
     stack = list(words)
     while stack:
-        cur = stack.pop()
-        nf = leftmost.get(cur)
-        if nf is None:
-            return False
-        positions = _positions(cur)
-        for i in positions:
+        cur = stack[-1]
+        if cur in done:
+            stack.pop()
+            continue
+        steps = pending.pop(cur, None)
+        if steps is None:
             try:
-                terms = _rewrite_at(cur, i, table)
+                steps = [
+                    [(w, c) for w, c in _rewrite_at(cur, i, table)
+                     if w is not None]
+                    for i in _positions(cur)
+                ]
             except MissingRuleError:
                 return False
-            children = [(w, c) for w, c in terms if w is not None]
-            if i != positions[0]:
-                try:
-                    form = _combine(children, leftmost)
-                except KeyError:
-                    return False
-                if form is not nf and form != nf:
-                    return False
-            for w, _ in children:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            todo = [w for step in steps for w, _ in step if w not in done]
+            if todo:
+                pending[cur] = steps
+                stack.extend(todo)
+                continue
+        stack.pop()
+        done.add(cur)
+        form = memo.get(cur)
+        if form is None:
+            form = memo[cur] = _combine(steps[0], memo) if steps else {cur: ONE}
+        for step in steps[1:]:
+            other = _combine(step, memo)
+            if other is not form and other != form:
+                return False
     return True
 
 
@@ -443,17 +466,19 @@ def _divergences(table, words, alternatives) -> tuple:
     form under one of the `alternatives` (name, pick, rng) differs from
     its leftmost form.
 
-    The other strategies run only if :func:`_resolves_locally` fails on
-    the leftmost memo; when it holds, every strategy reaches the leftmost
-    form, so there is nothing to compare.
+    When :func:`_closure_resolves` holds, every strategy reaches the
+    leftmost form, so there is nothing to compare.  Otherwise leftmost and
+    then each alternative, on a fresh cache, reduce every word, and a pair
+    without a rule raises MissingRuleError from the first reduction that
+    meets it.
     """
     cache = table.normal_form_cache("leftmost")
+    if _closure_resolves(words, table, cache):
+        return ()
     # Normal forms are compared as the memo dicts themselves: stored forms
     # are never mutated, so no copy is needed.
     reference = [_normal_form(w, table, cache, _pick_leftmost, None)
                  for w in words]
-    if _resolves_locally(words, table, cache):
-        return ()
     divergences = []
     for strategy, pick, rng in alternatives:
         alt_cache: dict = {}
@@ -470,14 +495,15 @@ def check_local_confluence(
     """Check that every coverable word of length <= max_len has one normal
     form under leftmost, rightmost and per-seed randomized strategies.
 
-    Every word is reduced leftmost first.  Then one pass over the leftmost
-    memo checks that each one-step reduct of each word reachable from
-    them resolves to the word's leftmost form; by induction on the rewrite
-    measure, every strategy then reaches the leftmost form, whatever
-    positions it picks, and the report passes without running the others.
-    Only when a reduct does not resolve, a word is missing from the memo
-    or a pair has no rule are rightmost and each seeded random strategy
-    run, each with a fresh cache and its own `random.Random(seed)`, and
+    One post-order walk over the words reachable from the swept words by
+    rewriting at any out-of-order position stores each word's leftmost
+    form in the table's leftmost memo and checks that every other
+    one-step reduct resolves to it; by induction on the rewrite measure,
+    every strategy then reaches the leftmost form, whatever positions it
+    picks, and the report passes without reducing any word again.  Only
+    when a reduct does not resolve or a pair has no rule is every word
+    reduced leftmost, and then under rightmost and each seeded random
+    strategy, each with a fresh cache and its own `random.Random(seed)`;
     every word where one differs from leftmost is reported as a
     divergence.
 

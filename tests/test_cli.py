@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -299,3 +300,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(q^-1) x*y\n"
+
+
+def test_package_runs_as_a_module(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    argv = ["check", "d2", "--max-degree", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcartan", *argv],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

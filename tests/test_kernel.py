@@ -16,14 +16,13 @@ from qcartan.normalizer import (
     MissingRuleError,
     _coverage,
     _closure_ok,
+    _closure_resolves,
     _divergences,
     _normal_form,
     _pick_leftmost,
     _pick_random,
     _pick_rightmost,
     _positions,
-    _resolves_locally,
-    _rewrite_at,
     _sweep_words,
     check_local_confluence,
     multiply,
@@ -37,7 +36,7 @@ from qcartan.relations import (
     format_presentation,
     load_presentation,
 )
-from qcartan.scalars import ONE, QScalar
+from qcartan.scalars import QScalar
 from qcartan.words import GENERATORS, Element, Word, canonical_codes
 
 GOOD_RULE = "x . dy -> (q) dy . x"
@@ -187,6 +186,56 @@ def _exact_divergences(table, words, alternatives):
     return tuple(divergences)
 
 
+def _reference_sweep_words(table, max_len):
+    """The sweep's enumeration as first written: the closure verdict keyed
+    by frozensets of letter names, and canonical_codes on every whole
+    sequence."""
+    letters = sorted({r.left.name for r in table.rules}
+                     | {r.right.name for r in table.rules})
+    covered, introduces = _coverage(table)
+    ok_sets = {}
+    subtree = [1] * (max_len + 1)
+    for d in range(max_len - 1, -1, -1):
+        subtree[d] = 1 + len(letters) * subtree[d + 1]
+    letter_codes = [(name, GENERATORS[name].position) for name in letters]
+    words, seen, skipped = [], set(), 0
+    stack = [((), frozenset())]
+    while stack:
+        prefix, nameset = stack.pop()
+        for name, code in letter_codes:
+            names = nameset | {name}
+            ok = ok_sets.get(names)
+            if ok is None:
+                ok = ok_sets[names] = _closure_ok(names, covered, introduces)
+            seq = prefix + (code,)
+            if not ok:
+                skipped += subtree[len(seq)]
+                continue
+            w = canonical_codes(seq)
+            if w is not None and w not in seen:
+                seen.add(w)
+                words.append(w)
+            if len(seq) < max_len:
+                stack.append((seq, names))
+    return words, skipped
+
+
+def test_sweep_words_match_the_reference_enumeration():
+    builtin = builtin_presentation()
+    x_dy = builtin.rule("x", "dy")
+    no_x_dy = RelationTable(r for r in builtin.rules if r is not x_dy)
+    skipped = {}
+    for name, table in (("builtin", builtin), ("bad", _BAD_TABLE),
+                        ("no x.dy", no_x_dy)):
+        for max_len in (3, 4):
+            words, n = _sweep_words(table, max_len)
+            assert (words, n) == _reference_sweep_words(table, max_len)
+            skipped[name, max_len] = n
+    # without the rule, sequences holding both x and dy are skipped too
+    assert skipped["bad", 4] == skipped["builtin", 4] == 259016
+    assert skipped["no x.dy", 4] > skipped["builtin", 4]
+
+
 def _exact_sweep(table, max_len, seeds):
     words, skipped = _sweep_words(table, max_len)
     alternatives = _alternatives(seeds)
@@ -227,24 +276,9 @@ def test_sweep_matches_the_exact_loop(monkeypatch, bad, seeds):
         assert not report.passed
         assert len(calls) > report.words_checked
     else:
-        # only the leftmost pass reduces anything
+        # the walk proves agreement without reducing any word
         assert report.passed
-        assert len(calls) == report.words_checked
-
-
-def _warm_closure(codes, table):
-    """Fill the leftmost memo for every word that rewriting at any
-    position reaches from `codes`."""
-    leftmost = table.normal_form_cache("leftmost")
-    seen, stack = {codes}, [codes]
-    while stack:
-        cur = stack.pop()
-        _normal_form(cur, table, leftmost, _pick_leftmost, None)
-        for i in _positions(cur):
-            for w, _ in _rewrite_at(cur, i, table):
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        assert len(calls) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,63 +286,61 @@ def _warm_closure(codes, table):
 @example(PX_X_DY, 1)
 def test_local_resolution_is_sound(codes, seed):
     """Whenever every one-step reduct resolves, the other strategies, on
-    a cold table, reach the leftmost form."""
+    another cold table, reach the form the walk stored; every form it
+    stored is the leftmost one."""
     if codes is None:
         return
-    for table in (builtin_presentation(), _BAD_TABLE):
-        _warm_closure(codes, table)
-        leftmost = table.normal_form_cache("leftmost")
-        size = len(leftmost)
-        resolves = _resolves_locally([codes], table, leftmost)
-        assert len(leftmost) == size
-        if table is not _BAD_TABLE:
+    for rules in (builtin_presentation().rules, _BAD_TABLE.rules):
+        table = RelationTable(rules)
+        memo = {}
+        resolves = _closure_resolves([codes], table, memo)
+        if rules is not _BAD_TABLE.rules:
             assert resolves
         elif codes == PX_X_DY:
             assert not resolves
+        assert codes in memo or not resolves
+        for w, form in memo.items():
+            assert form == _normal_form(w, table, {}, _pick_leftmost, None)
         if not resolves:
             continue
-        cold = RelationTable(table.rules)
+        cold = RelationTable(rules)
         for pick, rng in ((_pick_rightmost, None),
                           (_pick_random, random.Random(seed)),
                           (_pick_random, random.Random(seed + 1))):
-            assert _normal_form(codes, cold, {}, pick, rng) == leftmost[codes]
+            assert _normal_form(codes, cold, {}, pick, rng) == memo[codes]
 
 
 def test_local_resolution_walks_the_leftmost_step():
-    """The leftmost step resolves by construction, yet its children are
-    checked too: a word with one out-of-order pair is resolved only if
-    the words it rewrites to are."""
+    """A memo entry the walk finds is trusted as the leftmost form, yet it
+    must resolve too: a word with one out-of-order pair is resolved only
+    if the words it rewrites to are."""
     table = RelationTable(builtin_presentation().rules)
     root, child = _codes("y", "px", "x", "z"), _codes("y", "x", "px", "z")
     assert _positions(root) == [1] and _positions(child) == [0, 2]
-    _warm_closure(root, table)
-    leftmost = table.normal_form_cache("leftmost")
-    assert _resolves_locally([root], table, leftmost)
-    wrong = dict(leftmost)
-    wrong[child] = {w: c * 2 for w, c in leftmost[child].items()}
-    assert not _resolves_locally([root], table, wrong)
+    memo = {}
+    assert _closure_resolves([root], table, memo)
+    wrong = {child: {w: c * 2 for w, c in memo[child].items()}}
+    assert not _closure_resolves([root], table, wrong)
+    # a right entry is trusted and resolves
+    right = {child: memo[child]}
+    assert _closure_resolves([root], table, right)
+    assert right[root] == memo[root]
 
 
-def test_local_resolution_needs_the_memo(monkeypatch):
-    """A root or a child missing from the leftmost memo is "not resolved";
-    the sweep then runs the exact loop and reports what it reports."""
-    zyx = _codes("z", "y", "x")
-    table = RelationTable(builtin_presentation().rules)
-    for root in (zyx, _codes("y", "x"), _codes("x", "y")):
-        assert _resolves_locally([root], table, {}) is False
-    # leftmost reaches z y x -> y z x -> y x z -> x y z; the rightmost
-    # child z x y is not in the memo
-    leftmost = table.normal_form_cache("leftmost")
-    _normal_form(zyx, table, leftmost, _pick_leftmost, None)
-    assert _codes("z", "x", "y") not in leftmost
-    size = len(leftmost)
-    assert _resolves_locally([zyx], table, leftmost) is False
-    assert len(leftmost) == size
-    expected = _exact_divergences(RelationTable(table.rules), [zyx],
-                                  _alternatives((1, 2)))
-    calls = _count_normal_form_calls(monkeypatch)
-    assert _divergences(table, [zyx], _alternatives((1, 2))) == expected == ()
-    assert len(calls) > 1
+def test_cold_table_sweep_matches_the_exact_loop():
+    """On a cold table the walk fills the memo itself, and the sweep gives
+    the exact loop's report; on the bad table the walk stops early and the
+    exact loop completes the memo with the same forms."""
+    for rules in (builtin_presentation().rules, _BAD_TABLE.rules):
+        expected_table = RelationTable(rules)
+        expected = _exact_sweep(expected_table, 3, (1, 2))
+        table = RelationTable(rules)
+        report = check_local_confluence(table, 3, (1, 2))
+        assert str(report) == str(expected)
+        assert report.divergences == expected.divergences
+        memo = table.normal_form_cache("leftmost")
+        for w, form in expected_table.normal_form_cache("leftmost").items():
+            assert memo[w] == form
 
 
 def test_local_resolution_needs_every_rule():
@@ -319,7 +351,7 @@ def test_local_resolution_needs_every_rule():
     assert _positions(word) == [0, 1]
     assert table.rule("x", "wx") is not None
     assert table.rule("wx", "dx") is None
-    assert _resolves_locally([word], table, {word: {word: ONE}}) is False
+    assert _closure_resolves([word], RelationTable(table.rules), {}) is False
     for sweep in (_divergences, _exact_divergences):
         with pytest.raises(MissingRuleError) as exc:
             sweep(table, [word], _alternatives((1,)))
