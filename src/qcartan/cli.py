@@ -220,9 +220,13 @@ def build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-degree", type=_max_degree, default=3)
+    p.add_argument("--max-degree", type=_max_degree, default=3,
+                   help="largest degree the suites sweep (default 3); for "
+                   "confluence, the word length: at most 5, and 1 or 2 "
+                   "count as 3")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for the randomized confluence strategy")
+                   help="run one randomized confluence strategy with this "
+                   "seed instead of seeds 1-5")
     p.add_argument("--format", choices=("text", "json-lines"), default="text")
     _add_common(p, with_q=False)
     p.set_defaults(fn=_cmd_check)

@@ -124,7 +124,9 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
      "exponent 1/4 of q is not a half-integer (at position 8)"),
     # evaluation as the text is read: the first error is the one reported
     (("normalize", "y^-1 + )"), "negative power of y is not defined"),
-], ids=["zero", "q-quarter", "reading-order"])
+    # the sweep would grow to about 16M words at length 6
+    (("check", "confluence", "--max-degree", "6"), "max_len must be at most 5"),
+], ids=["zero", "q-quarter", "reading-order", "confluence-length"])
 def test_expression_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -293,23 +295,25 @@ def test_table_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+# the subprocesses import qcartan from this checkout's src directory
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__))), "src"))
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qcartan.cli", "normalize", "y*x"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "(q^-1) x*y\n"
 
 
 def test_package_runs_as_a_module(capsys):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-        __file__))), "src")
     argv = ["check", "d2", "--max-degree", "2"]
     proc = subprocess.run(
         [sys.executable, "-m", "qcartan", *argv],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, env=SRC_ENV,
     )
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0

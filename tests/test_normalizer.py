@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcartan import normalizer
 from qcartan.normalizer import (
     MissingRuleError,
     _normal_form,
@@ -137,6 +138,15 @@ def test_local_confluence_length_three(table):
 def test_confluence_rejects_tiny_bound(table):
     with pytest.raises(ValueError):
         check_local_confluence(table, 2)
+
+
+def test_confluence_rejects_long_words_before_enumerating(table, monkeypatch):
+    def enumerate_words(*_):
+        raise AssertionError("the sweep enumerated words")
+
+    monkeypatch.setattr(normalizer, "_sweep_words", enumerate_words)
+    with pytest.raises(ValueError, match="max_len must be at most 5"):
+        check_local_confluence(table, 6)
 
 
 coordinate_words = st.lists(
