@@ -27,6 +27,7 @@ from .report import CheckReport, CheckResult
 from .words import Element, Sector, Word, concat, linear_image
 from .normalizer import multiply
 from .calculus import (
+    _OMEGAS,
     act,
     basis_forms,
     coordinate_monomials,
@@ -35,8 +36,6 @@ from .calculus import (
     require_function_form,
     t_realization,
 )
-
-_OMEGA_NAMES = ("wx", "wy", "wz")
 
 
 def inner_apply(a: str, f: Element, table) -> Element:
@@ -68,7 +67,7 @@ def _letter_step(g, expand_omega: bool, table):
     if g.sector in (Sector.PARTIAL, Sector.LIE, Sector.INNER):
         return name, lambda w: act(Element.from_letter(name),
                                    Element.from_word(w), table)
-    if expand_omega and name in _OMEGA_NAMES:
+    if expand_omega and name in _OMEGAS:
         return ("expand", name), lambda w: multiply(
             omega_images()[name], Element.from_word(w), table)
     return name, lambda w: multiply(

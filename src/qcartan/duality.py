@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .scalars import ONE, QScalar
 from .words import Element, Sector, Word, add_term, concat, make_word
@@ -99,14 +100,7 @@ def dual_presentation() -> HopfPresentation:
     return HopfPresentation("dual", _DUAL_LETTERS, delta, eps, antipode_map)
 
 
-_DUAL = None
-
-
-def _dual():
-    global _DUAL
-    if _DUAL is None:
-        _DUAL = dual_presentation()
-    return _DUAL
+_dual = cache(dual_presentation)
 
 
 def _monomial_exponents(word: Word) -> tuple[int, int, int]:

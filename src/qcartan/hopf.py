@@ -17,6 +17,7 @@ word, so two presentations never share an entry, even under one name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .scalars import ONE, QScalar
 from .words import (EMPTY_WORD, Element, Word, add_term, canonical_codes,
@@ -236,17 +237,16 @@ def _lie_presentation() -> HopfPresentation:
                             delta, eps, antipode)
 
 
-_PRESENTATIONS: dict[str, HopfPresentation] = {}
+@cache
+def _presentations() -> dict[str, HopfPresentation]:
+    return {"A": _coordinate_presentation(), "U": _lie_presentation()}
 
 
 def presentation(alg) -> HopfPresentation:
     if isinstance(alg, HopfPresentation):
         return alg
-    if not _PRESENTATIONS:
-        _PRESENTATIONS["A"] = _coordinate_presentation()
-        _PRESENTATIONS["U"] = _lie_presentation()
     try:
-        return _PRESENTATIONS[alg]
+        return _presentations()[alg]
     except KeyError:
         raise ValueError(f"unknown Hopf presentation {alg!r}") from None
 

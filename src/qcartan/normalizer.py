@@ -31,23 +31,20 @@ form object.  A :class:`~qcartan.words.Word` is built only where
 :func:`normalize` and :func:`normalize_report` return an Element, and,
 in the confluence sweep, for a divergence it reports.
 
-The sweep proves that every strategy agrees with leftmost before it runs
-any.  Bergman's diamond lemma asks only local agreement, and one
-post-order walk over the words reachable from the swept words, by
-rewriting at any out-of-order position, both fills the leftmost memo and
-checks it: each word is rewritten once at every such position, and once
-the children of all those steps are finished, its leftmost form L(w) is
-stored (the leftmost step's c1*L(w1) + c2*L(w2) + ..., or the memo's
-entry if it has one), and every other step's one-step reduct must give
-that same form.  Then any strategy, whatever positions it picks (so
-whatever its rng draws), reaches L(w), by induction on the rewrite
-measure: a word in normal order is its own form, and otherwise the
-strategy's form of w is the sum, over the children of the position it
-picked, of its forms of those children, which are their leftmost forms.
-Only when the walk stops (a reduct that does not resolve, a pair without
-a rule) does the sweep reduce every word leftmost through
-:func:`_normal_form` and then run the other strategies, each with a
-fresh cache, to name which diverges where, or to raise the
+One walk, :func:`_walk`, does every reduction.  A strategy rewrites
+each word at the one position it picks, and the word's form is that
+step's c1*F(w1) + c2*F(w2) + ... once its children are reduced.  The
+confluence sweep rewrites each word at every out-of-order position and
+checks that the steps agree: the leftmost step gives the form, and every
+other step must give it too.  That is the local agreement of Bergman's
+diamond lemma, and by induction on the rewrite measure it proves that
+every strategy, whatever positions it picks (so whatever its rng draws),
+reaches the leftmost form: a word in normal order is its own form, and
+otherwise a strategy's form of w sums its forms of the children of the
+position it picked, which are their leftmost forms.  Only when the
+sweep's walk stops (steps that disagree, a pair without a rule) does it
+reduce every word leftmost and then under each other strategy, each with
+a fresh cache, to name which diverges where, or to raise the
 MissingRuleError of the first reduction that meets the pair.
 """
 
@@ -98,11 +95,11 @@ _NO_SEAM = (False,) * len(LETTERS)
 def _rewrite_at(codes, i, table):
     """Apply the table rule to the letter pair at codes[i], codes[i+1].
 
-    Returns a list of (code tuple or None, QScalar) replacement terms, in
-    the rule's term order; None marks a term that vanished.  The word's
-    slices and the compiled terms are canonical already, so a term goes
-    through :func:`~qcartan.words.canonical_codes` only when one of its two
-    seams can cancel or vanish.
+    Returns a list of (code tuple, QScalar) replacement terms, in the
+    rule's term order, without the terms that vanished.  The word's slices
+    and the compiled terms are canonical already, so a term goes through
+    :func:`~qcartan.words.canonical_codes` only when one of its two seams
+    can cancel or vanish.
     """
     a, b = codes[i], codes[i + 1]
     rhs = table.compiled.get((a, b))
@@ -118,7 +115,11 @@ def _rewrite_at(codes, i, table):
             clash = before[mid[0]] or after[mid[-1]]
         else:
             clash = right and before[right[0]]
-        out.append((canonical_codes(w) if clash else w, c))
+        if clash:
+            w = canonical_codes(w)
+            if w is None:
+                continue
+        out.append((w, c))
     return out
 
 
@@ -134,47 +135,65 @@ def _pick_random(_codes, positions, rng):
     return rng.choice(positions)
 
 
-def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
-    """Memoized reduction of a single word; returns {codes: coeff}.
+def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
+    """Reduce every word reachable from `roots`; whether all steps agree.
 
-    Iterative post-order over the rewrite dag: children of a word are the
-    replacement terms of one rule application at the picked position.  The
-    picked position is a function of the word (fixed once per cache), so
-    each strategy is deterministic and safely memoizable.  A word whose
-    children are all cached is finished on its first visit; the others wait
-    in the pending map until their children are.  Keys of `cache`, of the
-    normal forms it holds and of the pending map are code tuples; a stored
-    normal form is never mutated afterwards, so one object may serve as the
-    form of several words: a step whose single surviving term has the
-    coefficient ONE stores its child's form itself.
+    Iterative post-order over the rewrite dag: each unfinished word is
+    rewritten once at `pick(word, positions, rng)`, or at every
+    out-of-order position when `pick` is None, and waits in the pending
+    map until the children of all its steps are in `done`.  A finished
+    word's form is `forms`' entry if there is one, else {w: ONE} for a
+    word in normal order and the first step's c1*F(w1) + c2*F(w2) + ...
+    (:func:`_combine`) for any other; it is stored in `forms` and in
+    `done`.  Every other step must give that same form, or the walk
+    returns False at once; the forms stored by then stay.  A pair without
+    a rule raises MissingRuleError.
     """
-    nf = cache.get(codes)
-    if nf is not None:
-        return nf
     pending: dict[tuple, list] = {}
-    stack = [codes]
+    stack = list(roots)
     while stack:
         cur = stack[-1]
-        if cur in cache:
+        if cur in done:
             stack.pop()
             continue
-        children = pending.pop(cur, None)
-        if children is None:
+        steps = pending.pop(cur, None)
+        if steps is None:
             positions = _positions(cur)
             if not positions:
-                cache[cur] = {cur: ONE}
                 stack.pop()
+                done[cur] = forms.setdefault(cur, {cur: ONE})
                 continue
-            children = [(w, c) for w, c in
-                        _rewrite_at(cur, pick(cur, positions, rng), table)
-                        if w is not None]
-            todo = [w for w, _ in children if w not in cache]
+            if pick is None:
+                steps = [_rewrite_at(cur, i, table) for i in positions]
+            else:
+                steps = [_rewrite_at(cur, pick(cur, positions, rng), table)]
+            todo = [w for step in steps for w, _ in step if w not in done]
             if todo:
-                pending[cur] = children
+                pending[cur] = steps
                 stack.extend(todo)
                 continue
         stack.pop()
-        cache[cur] = _combine(children, cache)
+        form = forms.get(cur)
+        if form is None:
+            form = forms[cur] = _combine(steps[0], forms)
+        done[cur] = form
+        if pick is None:
+            for step in steps[1:]:
+                other = _combine(step, forms)
+                if other is not form and other != form:
+                    return False
+    return True
+
+
+def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
+    """Memoized reduction of a single word; returns {codes: coeff}.
+
+    The picked position is a function of the word (fixed once per cache),
+    so each strategy is deterministic and safely memoizable: the cache is
+    both the walk's forms and its finished words.
+    """
+    if codes not in cache:
+        _walk([codes], table, cache, cache, pick, rng)
     return cache[codes]
 
 
@@ -242,8 +261,7 @@ def normalize_report(e: Element, table) -> NormalizationReport:
             continue
         steps += 1
         for nw, nc in _rewrite_at(codes, positions[0], table):
-            if nw is not None:
-                agenda.append((nw, c * nc))
+            agenda.append((nw, c * nc))
     output = Element._raw({Word(w): c for w, c in done.items()})
     return NormalizationReport(e, output, steps)
 
@@ -382,49 +400,17 @@ def _closure_resolves(words, table, memo: dict) -> bool:
     """Whether every one-step reduct of every word reachable from `words`
     resolves to the word's leftmost form; fills `memo` with those forms.
 
-    One iterative post-order walk over the closure of `words` under
-    rewriting at every out-of-order position.  Each word is rewritten once
-    at each of its positions; once the children of all those steps are
-    finished, the word's leftmost form L(w) is the memo's entry if it has
-    one, else the leftmost step's c1*L(w1) + c2*L(w2) + ..., stored in
-    `memo`; every other step's children must then give that same form.
-    Returns False at the first reduct that does not resolve or the first
-    pair without a rule, never raising; entries stored by then stay, and
-    are the leftmost forms :func:`_normal_form` would store.
+    The walk rewrites each word at every out-of-order position, the
+    leftmost first, so each form it stores is the one :func:`_normal_form`
+    would store.  Its finished words are a fresh dict, not the memo: an
+    entry from an earlier :func:`normalize` is trusted as the word's form,
+    but the word's other steps are still checked against it.  A pair
+    without a rule gives False, never raising.
     """
-    done: set[tuple] = set()
-    pending: dict[tuple, list] = {}
-    stack = list(words)
-    while stack:
-        cur = stack[-1]
-        if cur in done:
-            stack.pop()
-            continue
-        steps = pending.pop(cur, None)
-        if steps is None:
-            try:
-                steps = [
-                    [(w, c) for w, c in _rewrite_at(cur, i, table)
-                     if w is not None]
-                    for i in _positions(cur)
-                ]
-            except MissingRuleError:
-                return False
-            todo = [w for step in steps for w, _ in step if w not in done]
-            if todo:
-                pending[cur] = steps
-                stack.extend(todo)
-                continue
-        stack.pop()
-        done.add(cur)
-        form = memo.get(cur)
-        if form is None:
-            form = memo[cur] = _combine(steps[0], memo) if steps else {cur: ONE}
-        for step in steps[1:]:
-            other = _combine(step, memo)
-            if other is not form and other != form:
-                return False
-    return True
+    try:
+        return _walk(words, table, memo, {}, None, None)
+    except MissingRuleError:
+        return False
 
 
 def _divergences(table, words, alternatives) -> tuple:
@@ -460,17 +446,13 @@ def check_local_confluence(
     """Check that every coverable word of length <= max_len has one normal
     form under leftmost, rightmost and per-seed randomized strategies.
 
-    One post-order walk over the words reachable from the swept words by
-    rewriting at any out-of-order position stores each word's leftmost
-    form in the table's leftmost memo and checks that every other
-    one-step reduct resolves to it; by induction on the rewrite measure,
-    every strategy then reaches the leftmost form, whatever positions it
-    picks, and the report passes without reducing any word again.  Only
-    when a reduct does not resolve or a pair has no rule is every word
-    reduced leftmost, and then under rightmost and each seeded random
-    strategy, each with a fresh cache and its own `random.Random(seed)`;
-    every word where one differs from leftmost is reported as a
-    divergence.
+    The walk of :func:`_closure_resolves` stores each word's leftmost form
+    in the table's leftmost memo and checks that every one-step reduct
+    agrees with it, which proves that every strategy reaches that form.
+    Only when it fails is every word reduced leftmost, and then under
+    rightmost and each seeded random strategy, each with a fresh cache and
+    its own `random.Random(seed)`; every word where one differs from
+    leftmost is reported as a divergence.
 
     Words whose letter closure hits a pair without a rule are skipped
     (they cannot be normalized at all).  The sweep grows about 15-fold per

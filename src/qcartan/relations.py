@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib.resources import files
 
 from .normalizer import _positions
@@ -137,9 +138,6 @@ class RelationTable:
             if r.table_id == table_id and (origin is None or r.origin == origin)
         ]
 
-    def table_ids(self):
-        return sorted({r.table_id for r in self.rules})
-
     def memo(self, name: str) -> dict:
         """The table's memo of the given name, created empty on first use.
 
@@ -217,16 +215,11 @@ def _has_inversion(word: Word) -> bool:
 # ---------------------------------------------------------------------------
 # builtin presentation
 
-_builtin = None
-
-
+@cache
 def builtin_presentation() -> RelationTable:
     """The full builtin rule set, loaded from the packaged rq3.rel."""
-    global _builtin
-    if _builtin is None:
-        text = files("qcartan").joinpath("rq3.rel").read_text(encoding="utf-8")
-        _builtin = load_presentation(text)
-    return _builtin
+    text = files("qcartan").joinpath("rq3.rel").read_text(encoding="utf-8")
+    return load_presentation(text)
 
 
 def _derive_inverse_rules(paper_rules):

@@ -227,6 +227,17 @@ def test_check_t_realization_passes(table):
     assert report.passed, report
 
 
+def test_check_t_realization_fails_on_a_wrong_t_rule():
+    text = format_presentation(builtin_presentation())
+    good = "Ty . y -> x + (q) y . Ty"
+    assert good in text
+    table = load_presentation(text.replace(good, "Ty . y -> x + (q^2) y . Ty"))
+    report = check_t_realization(2, table)
+    assert not report.passed
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert failed["t_coord Ty*y"].startswith("realized sides differ:")
+
+
 def test_d_decomposes_through_omegas(table):
     # d y = wx y + wy x after expansion
     y = parse_element("y")
