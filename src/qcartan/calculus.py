@@ -48,7 +48,6 @@ from .words import (
     add_term,
     canonical_codes,
     concat,
-    generator,
     linear_image,
     make_word,
 )
@@ -239,11 +238,11 @@ def basis_forms(max_degree: int, max_form_degree: int = 3, min_x: int = 0):
     for subset in _D_SUBSETS:
         if len(subset) > max_form_degree:
             continue
-        front = tuple((generator(n), 1) for n in subset)
+        front = tuple(GENERATORS[n].position for n in subset)
         for m in monos:
-            w = make_word(front + m.factors)
-            assert w is not None
-            out.append(w)
+            codes = canonical_codes(front + m.codes)
+            assert codes is not None
+            out.append(Word(codes))
     return out
 
 
@@ -336,12 +335,12 @@ def check_omega_tables(max_degree: int, table) -> CheckReport:
     # soundness of the omega rewrite rules against expansion
     for mono in coordinate_monomials(max_degree):
         for name in _OMEGAS:
-            for word in (
-                make_word(mono.factors + ((generator(name), 1),)),
-                make_word(((generator(name), 1),) + mono.factors),
-            ):
-                if word is None:
+            omega = (GENERATORS[name].position,)
+            for codes in (mono.codes + omega, omega + mono.codes):
+                codes = canonical_codes(codes)
+                if codes is None:
                     continue
+                word = Word(codes)
                 e = Element.from_word(word)
                 direct = omega_expand(e, table)
                 via_rules = omega_expand(normalize(e, table), table)

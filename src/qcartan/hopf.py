@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .scalars import ONE, QScalar
-from .words import (EMPTY_WORD, Element, Word, add_term, canonical_codes,
-                    concat, make_word)
+from .words import (EMPTY_WORD, GENERATORS, Element, Word, add_term,
+                    canonical_codes, concat)
 from .normalizer import multiply, normalize
 from .report import CheckReport, CheckResult
 
@@ -301,26 +301,20 @@ def antipode(alg, e: Element, table) -> Element:
 
 def _letter_products(pres: HopfPresentation, max_len: int):
     """All products of presentation letters up to the given length."""
-    words = [EMPTY_WORD]
+    letters = [GENERATORS[name].position for name in pres.letters]
+    words = [()]
     frontier = [()]
     for _ in range(max_len):
         nxt = []
         for seq in frontier:
-            for name in pres.letters:
-                new = seq + (name,)
-                w = make_word((n, 1) for n in new)
-                if w is not None:
+            for c in letters:
+                new = seq + (c,)
+                codes = canonical_codes(new)
+                if codes is not None:
                     nxt.append(new)
-                    words.append(w)
+                    words.append(codes)
         frontier = nxt
-    # separate surviving distinct words but keep duplicates cheap to skip
-    seen = set()
-    out = []
-    for w in words:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
+    return [Word(codes) for codes in dict.fromkeys(words)]
 
 
 def check_hopf_axioms(alg, max_len: int, table) -> CheckReport:

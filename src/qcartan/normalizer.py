@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 from .report import CheckResult
 from .scalars import ONE, QScalar
-from .words import (_INVERSE, _NILPOTENT, GENERATORS, LETTERS, Element, Word,
+from .words import (_NO_SEAM, _SEAM, GENERATORS, LETTERS, Element, Word,
                     add_term, canonical_codes, concat)
 
 
@@ -80,16 +80,6 @@ class MissingRuleError(Exception):
 def _positions(codes):
     """Indices i where codes[i], codes[i+1] are out of normal order."""
     return [i for i in range(len(codes) - 1) if codes[i] > codes[i + 1]]
-
-
-# _SEAM[a][b]: whether letter b right after letter a cancels (x/xinv,
-# K/Kinv) or vanishes (a repeated form letter).  The relation is symmetric.
-_SEAM = tuple(
-    tuple(b == _INVERSE[a] or (a == b and _NILPOTENT[a])
-          for b in range(len(LETTERS)))
-    for a in range(len(LETTERS))
-)
-_NO_SEAM = (False,) * len(LETTERS)
 
 
 def _rewrite_at(codes, i, table):

@@ -233,6 +233,7 @@ def _derive_inverse_rules(paper_rules):
     """
     x = generator("x")
     xinv = generator("xinv")
+    inv = (xinv.position,)
     derived = []
     for rule in paper_rules:
         if rule.right is x:
@@ -244,10 +245,10 @@ def _derive_inverse_rules(paper_rules):
             terms = {make_word([(xinv, 1), (g, 1)]): inv_alpha}
             rhs = Element(terms)
             for w, c in remainder.terms():
-                wrapped = make_word(
-                    ((x, -1),) + w.factors + ((x, -1),)
-                )
-                rhs = rhs + Element.from_word(wrapped, -(inv_alpha * c))
+                codes = canonical_codes(inv + w.codes + inv)
+                if codes is not None:
+                    rhs = rhs + Element.from_word(Word(codes),
+                                                  -(inv_alpha * c))
             derived.append(Rule(g, xinv, rhs, rule.table_id, "derived"))
         elif rule.left is x:
             h = rule.right
@@ -265,14 +266,6 @@ def _derive_inverse_rules(paper_rules):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _format_word(word: Word) -> str:
-    if word.is_empty():
-        return "1"
-    return " . ".join(
-        g.name if e == 1 else f"{g.name}^{e}" for g, e in word.factors
-    )
-
-
 def _format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
@@ -281,9 +274,9 @@ def _format_element(e: Element) -> str:
         if w.is_empty():
             parts.append(f"({c})")
         elif c == ONE:
-            parts.append(_format_word(w))
+            parts.append(w.format(" . "))
         else:
-            parts.append(f"({c}) {_format_word(w)}")
+            parts.append(f"({c}) {w.format(' . ')}")
     return " + ".join(parts)
 
 

@@ -14,13 +14,15 @@ A word is keyed by its letter codes: the tuple of positions of its signed
 letters, one per unit power (x**-2*y is (6, 6, 8), since xinv sits just
 before x).  Normal order is then plain integer order of adjacent codes,
 and :func:`canonical_codes` brings any code sequence to canonical form in
-one integer pass, which is what the rewrite kernel in
-:mod:`qcartan.normalizer` runs after each splice.  The engine reads words
-letter by letter (``word.codes`` or ``word.letters()``): d, the operator
-words, the Hopf maps and the pairing are all defined one letter at a
-time.  The (Generator, exponent) factor view serves printing and input
-only: it is derived from the codes when a word is printed, and
-:func:`make_word` builds words from written powers.
+one integer pass.  It is the one place where letters cancel or vanish:
+the rewrite kernel in :mod:`qcartan.normalizer` runs it after each
+splice, and every other builder of words splices code tuples through it.
+The engine reads words letter by letter (``word.codes`` or
+``word.letters()``): d, the operator words, the Hopf maps and the pairing
+are all defined one letter at a time.  The (Generator, exponent) factor
+view serves printing and input only: it is derived from the codes when a
+word is printed, and :func:`make_word` checks written powers and expands
+them to codes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 
 from .scalars import ONE, QScalar
 
@@ -105,8 +107,6 @@ GENERATORS: dict[str, Generator] = _build_alphabet()
 # for; it applies to every '^' in expressions and relation files.
 MAX_EXPONENT = 100_000
 
-INVERTIBLE = frozenset((GENERATORS["x"], GENERATORS["K"]))
-
 # Per letter code (a letter's position): the letter, the generator it is a
 # power of and the sign of that power, the code that cancels it (-1 if
 # none) and whether its square vanishes.
@@ -118,6 +118,14 @@ _INVERSE = tuple(
     for g in LETTERS
 )
 _NILPOTENT = tuple(g.form_degree != 0 for g in LETTERS)
+# _SEAM[a][b]: whether letter b right after letter a cancels (x/xinv,
+# K/Kinv) or vanishes (a repeated form letter).  The relation is symmetric.
+_SEAM = tuple(
+    tuple(b == _INVERSE[a] or (a == b and _NILPOTENT[a])
+          for b in range(len(LETTERS)))
+    for a in range(len(LETTERS))
+)
+_NO_SEAM = (False,) * len(LETTERS)
 
 
 def generator(name: str) -> Generator:
@@ -138,15 +146,15 @@ class Word:
     exponents, adjacent equal generators merged, negative exponents only
     on x and K, and wedge-nilpotent letters (form degree != 0) carrying
     exponent 1; it is built from the codes on first use.  Construct
-    through :func:`make_word` or :func:`canonical_codes`; the constructor
-    trusts its input.
+    through :func:`make_word`, or from a tuple that :func:`canonical_codes`
+    returned; the constructor trusts its input.
     """
 
     __slots__ = ("codes", "_factors", "_hash")
 
-    def __init__(self, codes: tuple, factors: tuple | None = None):
+    def __init__(self, codes: tuple):
         self.codes = codes
-        self._factors = factors
+        self._factors = None
         self._hash = hash(codes)
 
     @property
@@ -189,9 +197,13 @@ class Word:
         return {LETTERS[c].sector for c in self.codes}
 
     def __str__(self):
+        return self.format("*")
+
+    def format(self, sep: str) -> str:
+        """The factors, `name` or `name^exp`, joined by sep; "1" if empty."""
         if not self.codes:
             return "1"
-        return "*".join(
+        return sep.join(
             g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors
         )
 
@@ -212,7 +224,8 @@ def canonical_codes(codes) -> tuple | None:
 
     One pass with a stack: adjacent x/xinv and K/Kinv cancel (cascading
     outward), and a form letter meeting itself makes the monomial vanish.
-    Agrees with :func:`make_word` on the same letters.
+    This is the engine's only rule for cancelling and vanishing letters;
+    :func:`make_word` and every splice of code tuples go through it.
     """
     out = []
     for c in codes:
@@ -232,10 +245,15 @@ def make_word(pairs) -> Word | None:
     """Build the canonical word for a factor sequence, or None if it is 0.
 
     Accepts generator objects or names; xinv/Kinv fold into negative powers
-    of x/K.  Squares of wedge-nilpotent letters make the monomial vanish,
-    which is reported as None.
+    of x/K.  Every factor is checked (an integer exponent within
+    MAX_EXPONENT, negative only on x and K) before the word is formed, and
+    expanded to its letter codes; zero powers are skipped.  The codes go
+    through :func:`canonical_codes` only when a seam between factors can
+    cancel or vanish, or a form letter is raised to a power; a monomial
+    that vanishes is reported as None.
     """
-    stack: list[list] = []
+    codes = []
+    clash = False
     for g, e in pairs:
         if isinstance(g, str):
             g = generator(g)
@@ -250,27 +268,19 @@ def make_word(pairs) -> Word | None:
             raise ValueError(
                 f"exponent {e} of {g.name} exceeds the limit {MAX_EXPONENT}"
             )
-        if e < 0 and g not in INVERTIBLE:
-            raise ValueError(f"negative power of {g.name} is not defined")
-        if stack and stack[-1][0] is g:
-            stack[-1][1] += e
-            if stack[-1][1] == 0:
-                stack.pop()
-                continue
-        else:
-            stack.append([g, e])
-        ge, ee = stack[-1]
-        if ge.form_degree != 0 and ee != 1:
-            return None
-        if ee < 0 and ge not in INVERTIBLE:
-            raise ValueError(f"negative power of {ge.name} is not defined")
-    if not stack:
-        return EMPTY_WORD
-    codes = []
-    for g, e in stack:
-        letter = g if e > 0 else GENERATORS[g.inverse_name]
-        codes += [letter.position] * abs(e)
-    return Word(tuple(codes), tuple((g, e) for g, e in stack))
+        c = g.position
+        if e < 0:
+            c = _INVERSE[c]
+            if c < 0:
+                raise ValueError(f"negative power of {g.name} is not defined")
+            e = -e
+        if (codes and _SEAM[codes[-1]][c]) or (e > 1 and _NILPOTENT[c]):
+            clash = True
+        codes.extend(repeat(c, e))
+    if not clash:
+        return Word(tuple(codes))
+    codes = canonical_codes(codes)
+    return None if codes is None else Word(codes)
 
 
 def add_term(terms: dict, key, c) -> None:

@@ -192,16 +192,25 @@ def test_check_all_suite_counts(capsys):
     ]
 
 
+# md5 of `check all --max-degree 3` per format
+_DEGREE_3_DIGESTS = {
+    "text": "695adc1fcd839a64fd93c8640578093d",
+    "json-lines": "d81d3326a8f31f33a0be40f41da05cfe",
+}
+
+
 @pytest.mark.parametrize("fmt, digest", [
     ("text", "d4f3151167a1eea00075368257b3ff80"),
     ("json-lines", "94b3831d6eb49dc7e752b7da023bb6cc"),
 ])
 def test_check_all_output_bytes(capsys, fmt, digest):
-    # Every row name and detail of every suite, byte for byte.
-    code, out, _ = run(capsys, "check", "all", "--max-degree", "2",
-                       "--format", fmt)
-    assert code == 0
-    assert hashlib.md5(out.encode()).hexdigest() == digest
+    # Every row name and detail of every suite, byte for byte, at degree 2
+    # (the digest in the test id) and at degree 3.
+    for degree, want in (("2", digest), ("3", _DEGREE_3_DIGESTS[fmt])):
+        code, out, _ = run(capsys, "check", "all", "--max-degree", degree,
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == want, degree
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from qcartan.words import (
     EMPTY_WORD,
     Element,
     GENERATORS,
+    MAX_EXPONENT,
     Sector,
     Word,
     add_term,
@@ -182,6 +185,57 @@ def test_printed_term_order():
     assert str(e) == "(q) x^-1 + (q) x + (q) x*y + (q) x^2"
 
 
+def _reference_make_word(pairs):
+    """An independent make_word that merges (Generator, exponent) factors
+    on a stack, without canonical_codes.  Returns (codes, factors), or None
+    as soon as the monomial vanishes."""
+    invertible = (generator("x"), generator("K"))
+    stack = []
+    for g, e in pairs:
+        if isinstance(g, str):
+            g = generator(g)
+        if g.is_alias:
+            g = GENERATORS[g.inverse_name]
+            e = -e
+        if e == 0:
+            continue
+        if not isinstance(e, int):
+            raise ValueError(f"exponent {e!r} of {g.name} is not an integer")
+        if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
+            raise ValueError(
+                f"exponent {e} of {g.name} exceeds the limit {MAX_EXPONENT}"
+            )
+        if e < 0 and g not in invertible:
+            raise ValueError(f"negative power of {g.name} is not defined")
+        if stack and stack[-1][0] is g:
+            stack[-1][1] += e
+            if stack[-1][1] == 0:
+                stack.pop()
+                continue
+        else:
+            stack.append([g, e])
+        if stack[-1][0].form_degree != 0 and stack[-1][1] != 1:
+            return None
+    codes = []
+    for g, e in stack:
+        letter = g if e > 0 else GENERATORS[g.inverse_name]
+        codes += [letter.position] * abs(e)
+    return tuple(codes), tuple((g, e) for g, e in stack)
+
+
+def _key(word):
+    """A word as (codes, factors), as the reference returns it."""
+    return None if word is None else (word.codes, word.factors)
+
+
+def _outcome(build, pairs):
+    """build(pairs), or the message of the ValueError it raised."""
+    try:
+        return build(pairs)
+    except ValueError as exc:
+        return str(exc)
+
+
 # Letters weighted toward the ones that cancel or vanish in pairs.
 _NAMES = sorted(GENERATORS)
 letter_names = st.one_of(
@@ -192,14 +246,10 @@ letter_names = st.one_of(
 
 @given(st.lists(letter_names, max_size=12))
 def test_canonical_codes_agree_with_make_word(names):
-    w = make_word([(n, 1) for n in names])
+    want = _reference_make_word([(n, 1) for n in names])
+    assert _key(make_word([(n, 1) for n in names])) == want
     codes = canonical_codes([generator(n).position for n in names])
-    if w is None:
-        assert codes is None
-    else:
-        assert codes == w.codes
-        assert Word(codes) == w
-        assert Word(codes).factors == w.factors
+    assert _key(None if codes is None else Word(codes)) == want
 
 
 powers = st.one_of(
@@ -212,12 +262,38 @@ powers = st.one_of(
 
 @given(st.lists(powers, max_size=8))
 def test_canonical_codes_agree_with_make_word_on_powers(pairs):
-    w = make_word(pairs)
+    want = _reference_make_word(pairs)
+    assert _key(make_word(pairs)) == want
     codes = []
     for name, e in pairs:
         g = generator(name)
         if e < 0:
             g = generator(g.inverse_name)
         codes += [g.position] * abs(e)
-    got = canonical_codes(codes)
-    assert got == (None if w is None else w.codes)
+    codes = canonical_codes(codes)
+    assert _key(None if codes is None else Word(codes)) == want
+
+
+# Any letter with any small exponent (zero powers, negative powers of
+# every letter, form letters past the first power), and exponents that
+# are not integers or exceed the cap.
+any_powers = st.tuples(letter_names, st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.0, 2.0, Fraction(1, 2),
+                     MAX_EXPONENT + 1, -MAX_EXPONENT - 1]),
+))
+
+
+@given(st.lists(any_powers, max_size=6))
+def test_make_word_agrees_with_reference_on_any_powers(pairs):
+    got = _outcome(make_word, pairs)
+    want = _outcome(_reference_make_word, pairs)
+    errors = [m for m in (_outcome(_reference_make_word, [p]) for p in pairs)
+              if isinstance(m, str)]
+    if errors:
+        # make_word checks every factor before it forms the word; the
+        # reference stops at a pair that vanishes
+        assert got == errors[0]
+        assert want in (errors[0], None)
+    else:
+        assert _key(got) == want
