@@ -88,16 +88,15 @@ _D_IMAGE = {
 def _d_word(word: Word, table) -> Element:
     """Normal form of the graded-Leibniz differential of one word."""
     terms: dict[Word, QScalar] = {}
-    codes = word.codes
 
     def add(i, image, coeff):
-        w = canonical_codes(codes[:i] + image + codes[i + 1:])
+        w = canonical_codes(word[:i] + image + word[i + 1:])
         if w is not None:
             add_term(terms, Word(w), QScalar.rational(coeff))
 
     sign = 1
     start = 0
-    for c, run in groupby(codes):
+    for c, run in groupby(word):
         end = start + len(tuple(run))
         if LETTERS[c].sector is Sector.FORM:
             sign *= (-1) ** (end - start)
@@ -176,12 +175,12 @@ def _substitute(e: Element, images: dict[str, Element], table) -> Element:
     for word, coeff in e.terms():
         acc = Element.scalar(coeff)
         for substituted, run in groupby(
-                word.codes, key=lambda c: LETTERS[c].name in images):
+                word, key=lambda c: LETTERS[c].name in images):
             if substituted:
                 for c in run:
                     acc = concat(acc, images[LETTERS[c].name])
             else:
-                acc = concat(acc, Element.from_word(Word(tuple(run))))
+                acc = concat(acc, Element.from_word(Word(run)))
         total = total + acc
     return normalize(total, table)
 
@@ -240,7 +239,7 @@ def basis_forms(max_degree: int, max_form_degree: int = 3, min_x: int = 0):
             continue
         front = tuple(GENERATORS[n].position for n in subset)
         for m in monos:
-            codes = canonical_codes(front + m.codes)
+            codes = canonical_codes(front + m)
             assert codes is not None
             out.append(Word(codes))
     return out
@@ -336,7 +335,7 @@ def check_omega_tables(max_degree: int, table) -> CheckReport:
     for mono in coordinate_monomials(max_degree):
         for name in _OMEGAS:
             omega = (GENERATORS[name].position,)
-            for codes in (mono.codes + omega, omega + mono.codes):
+            for codes in (mono + omega, omega + mono):
                 codes = canonical_codes(codes)
                 if codes is None:
                     continue

@@ -121,7 +121,7 @@ def tensor(*elements: Element) -> TensorElement:
 
 def _slot_product(wa: Word, wb: Word, table) -> Element:
     """Normal form of the product of two slot words."""
-    codes = canonical_codes(wa.codes + wb.codes)
+    codes = canonical_codes(wa + wb)
     if codes is None:
         return Element.zero()
     return normalize(Element._raw({Word(codes): ONE}), table)

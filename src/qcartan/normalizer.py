@@ -11,25 +11,27 @@ decreases lexicographically at each step and reduction terminates.
 Results are strategy-independent whenever the table is locally confluent,
 which :func:`check_local_confluence` sweeps for exhaustively.
 
-The kernel works on integer letter codes (:attr:`Word.codes`).  An
-out-of-order pair is an index i with codes[i] > codes[i+1]; one rewrite
-step looks the pair up in the table's compiled rules (each right-hand
-side stored once as ((codes, coeff), ...), a coefficient 1 as the ONE
-singleton) and splices codes[:i] + mid + codes[i+2:] for every term.
-The two slices and the compiled term are canonical already, so only a
-term whose seams can cancel (x/xinv, K/Kinv) or vanish (a repeated form
-letter), as read from a 24x24 table, goes through
+The kernel works on integer letter codes: a :class:`~qcartan.words.Word`
+is the tuple of its codes, and the kernel's own splices stay plain
+tuples.  An out-of-order pair is an index i with codes[i] > codes[i+1];
+one rewrite step looks the pair up in the table's compiled rules (each
+right-hand side stored once as ((word, coeff), ...), a coefficient 1 as
+the ONE singleton) and splices codes[:i] + mid + codes[i+2:] for every
+term.  The two slices and the compiled term are canonical already, so
+only a term whose seams can cancel (x/xinv, K/Kinv) or vanish (a
+repeated form letter), as read from a 24x24 table, goes through
 :func:`~qcartan.words.canonical_codes`.  Coefficients are QScalars whose
 integral coefficients are ints, so the +-q**k rule coefficients multiply
 as machine integers, and a ONE coefficient is not multiplied at all.
 
-Memos, the pending map of a reduction and every normal form
-{codes: coeff} are keyed by the code tuples themselves, whose hash and
-equality run in C.  Stored normal forms are never mutated, so they are
-shared: a step to a single term with coefficient ONE stores its child's
-form object.  A :class:`~qcartan.words.Word` is built only where
-:func:`normalize` and :func:`normalize_report` return an Element, and,
-in the confluence sweep, for a divergence it reports.
+Memos and the pending map of a reduction are keyed by code tuples,
+Words or plain tuples alike, since both hash and compare as the tuple in
+C.  Every normal form {Word: coeff} is keyed by Words: a word in normal
+order is wrapped once, when its own form {Word(w): ONE} is stored, and
+every other form sums those.  Stored normal forms are never mutated, so
+they are shared: a step to a single term with coefficient ONE stores its
+child's form object, and :func:`normalize` returns Elements keyed by the
+memo's own Word objects.
 
 One walk, :func:`_walk`, does every reduction.  A strategy rewrites
 each word at the one position it picks, and the word's form is that
@@ -132,12 +134,13 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
     rewritten once at `pick(word, positions, rng)`, or at every
     out-of-order position when `pick` is None, and waits in the pending
     map until the children of all its steps are in `done`.  A finished
-    word's form is `forms`' entry if there is one, else {w: ONE} for a
-    word in normal order and the first step's c1*F(w1) + c2*F(w2) + ...
-    (:func:`_combine`) for any other; it is stored in `forms` and in
-    `done`.  Every other step must give that same form, or the walk
-    returns False at once; the forms stored by then stay.  A pair without
-    a rule raises MissingRuleError.
+    word's form is `forms`' entry if there is one, else the first step's
+    c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or {Word(w): ONE} for a
+    word w in normal order, stored under that same Word; it is stored in
+    `forms` and in `done`.  So every form is keyed by the Words of its
+    normal words, one object per word.  Every other step must give that
+    same form, or the walk returns False at once; the forms stored by
+    then stay.  A pair without a rule raises MissingRuleError.
     """
     pending: dict[tuple, list] = {}
     stack = list(roots)
@@ -149,14 +152,9 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
         steps = pending.pop(cur, None)
         if steps is None:
             positions = _positions(cur)
-            if not positions:
-                stack.pop()
-                done[cur] = forms.setdefault(cur, {cur: ONE})
-                continue
-            if pick is None:
-                steps = [_rewrite_at(cur, i, table) for i in positions]
-            else:
-                steps = [_rewrite_at(cur, pick(cur, positions, rng), table)]
+            if pick is not None and positions:
+                positions = [pick(cur, positions, rng)]
+            steps = [_rewrite_at(cur, i, table) for i in positions]
             todo = [w for step in steps for w, _ in step if w not in done]
             if todo:
                 pending[cur] = steps
@@ -165,18 +163,21 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
         stack.pop()
         form = forms.get(cur)
         if form is None:
-            form = forms[cur] = _combine(steps[0], forms)
+            if steps:
+                form = forms[cur] = _combine(steps[0], forms)
+            else:
+                w = Word(cur)
+                form = forms[w] = {w: ONE}
         done[cur] = form
-        if pick is None:
-            for step in steps[1:]:
-                other = _combine(step, forms)
-                if other is not form and other != form:
-                    return False
+        for step in steps[1:]:
+            other = _combine(step, forms)
+            if other is not form and other != form:
+                return False
     return True
 
 
 def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
-    """Memoized reduction of a single word; returns {codes: coeff}.
+    """Memoized reduction of a single word; returns {Word: coeff}.
 
     The picked position is a function of the word (fixed once per cache),
     so each strategy is deterministic and safely memoizable: the cache is
@@ -194,7 +195,7 @@ def _combine(children, forms: dict) -> dict:
     form object itself."""
     if len(children) == 1 and children[0][1] is ONE:
         return forms[children[0][0]]
-    form: dict[tuple, QScalar] = {}
+    form: dict[Word, QScalar] = {}
     for w, c in children:
         for nw, nc in forms[w].items():
             add_term(form, nw, nc if c is ONE else c * nc)
@@ -210,12 +211,12 @@ def normalize(e: Element, table) -> Element:
     during reduction.
     """
     cache = table.normal_form_cache("leftmost")
-    terms: dict[tuple, QScalar] = {}
+    terms: dict[Word, QScalar] = {}
     for w, c in e.terms():
-        for codes, nc in _normal_form(w.codes, table, cache, _pick_leftmost,
-                                      None).items():
-            add_term(terms, codes, c * nc)
-    return Element._raw({Word(codes): c for codes, c in terms.items()})
+        for nw, nc in _normal_form(w, table, cache, _pick_leftmost,
+                                   None).items():
+            add_term(terms, nw, c * nc)
+    return Element._raw(terms)
 
 
 def multiply(a: Element, b: Element, table) -> Element:
@@ -240,7 +241,7 @@ class NormalizationReport:
 def normalize_report(e: Element, table) -> NormalizationReport:
     """Normalize leftmost-first while counting rule applications
     (uncached)."""
-    agenda = [(w.codes, c) for w, c in e.terms()]
+    agenda = list(e.terms())
     done: dict[tuple, QScalar] = {}
     steps = 0
     while agenda:

@@ -83,7 +83,7 @@ _OP_CODES = frozenset(g.position for g in LETTERS if g.sector in _OP_SECTORS)
 
 
 def _op_count(word: Word) -> int:
-    return sum(c in _OP_CODES for c in word.codes)
+    return sum(c in _OP_CODES for c in word)
 
 
 class RelationTable:
@@ -93,7 +93,7 @@ class RelationTable:
     are carried along but do not affect identity).
 
     `compiled` maps each rule's pair of letter codes (positions) to its
-    right-hand side as ((codes, coeff), ...), in the rule's term order,
+    right-hand side as ((word, coeff), ...), in the rule's term order,
     with a coefficient equal to 1 stored as the ONE singleton; the rewrite
     kernel reads it in place of :meth:`rewrite`.
     """
@@ -114,7 +114,7 @@ class RelationTable:
             by_pair[k] for k in sorted(by_pair)
         )
         self.compiled = {
-            key: tuple((w.codes, ONE if c == ONE else c)
+            key: tuple((w, ONE if c == ONE else c)
                        for w, c in rule.rhs.terms())
             for key, rule in by_pair.items()
         }
@@ -209,7 +209,7 @@ def _validate_rule(rule: Rule):
 
 
 def _has_inversion(word: Word) -> bool:
-    return bool(_positions(word.codes))
+    return bool(_positions(word))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def _derive_inverse_rules(paper_rules):
             terms = {make_word([(xinv, 1), (g, 1)]): inv_alpha}
             rhs = Element(terms)
             for w, c in remainder.terms():
-                codes = canonical_codes(inv + w.codes + inv)
+                codes = canonical_codes(inv + w + inv)
                 if codes is not None:
                     rhs = rhs + Element.from_word(Word(codes),
                                                   -(inv_alpha * c))

@@ -109,6 +109,10 @@ class QScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as the rational it equals (zero as 0)
+        value = self.constant_value()
+        if value is not None:
+            return hash(value)
         return hash(frozenset(self._terms.items()))
 
     # -- ring operations ---------------------------------------------

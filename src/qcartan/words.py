@@ -10,19 +10,19 @@ inner derivations and the Lie derivatives.  Normal order is by sector,
 and alphabetically inside each sector; every commutation rule of the
 calculus moves letters toward this order.
 
-A word is keyed by its letter codes: the tuple of positions of its signed
-letters, one per unit power (x**-2*y is (6, 6, 8), since xinv sits just
-before x).  Normal order is then plain integer order of adjacent codes,
-and :func:`canonical_codes` brings any code sequence to canonical form in
-one integer pass.  It is the one place where letters cancel or vanish:
-the rewrite kernel in :mod:`qcartan.normalizer` runs it after each
-splice, and every other builder of words splices code tuples through it.
-The engine reads words letter by letter (``word.codes`` or
-``word.letters()``): d, the operator words, the Hopf maps and the pairing
-are all defined one letter at a time.  The (Generator, exponent) factor
-view serves printing and input only: it is derived from the codes when a
-word is printed, and :func:`make_word` checks written powers and expands
-them to codes.
+A word is its letter codes: :class:`Word` is a tuple of the positions of
+its signed letters, one per unit power (x**-2*y is (6, 6, 8), since xinv
+sits just before x).  Normal order is then plain integer order of
+adjacent codes, and :func:`canonical_codes` brings any code sequence to
+canonical form in one integer pass.  It is the one place where letters
+cancel or vanish: the rewrite kernel in :mod:`qcartan.normalizer` runs it
+after each splice, and every other builder of words splices code tuples
+through it.  The engine reads a word letter by letter, as the tuple it is
+or through ``word.letters()``: d, the operator words, the Hopf maps and
+the pairing are all defined one letter at a time.  The (Generator,
+exponent) factor view serves printing and input only: it is derived from
+the codes when a word is printed, and :func:`make_word` checks written
+powers and expands them to codes.
 """
 
 from __future__ import annotations
@@ -135,41 +135,29 @@ def generator(name: str) -> Generator:
         raise KeyError(f"unknown generator name {name!r}") from None
 
 
-class Word:
-    """A canonical product of generator powers.
+class Word(tuple):
+    """A canonical product of generator powers: the tuple of its letter codes.
 
-    The identity of a word is `codes`: the positions of its signed letters,
-    one per unit power, so x**-2*y is (6, 6, 8).  The tuple is canonical
-    (adjacent x/xinv and K/Kinv cancelled, no form letter repeated next to
-    itself), and hash and equality are those of the tuple.  `factors`
-    views the same word as (Generator, exponent) pairs with nonzero
-    exponents, adjacent equal generators merged, negative exponents only
-    on x and K, and wedge-nilpotent letters (form degree != 0) carrying
-    exponent 1; it is built from the codes on first use.  Construct
-    through :func:`make_word`, or from a tuple that :func:`canonical_codes`
+    A word is the positions of its signed letters, one per unit power, so
+    x**-2*y is (6, 6, 8).  The tuple is canonical (adjacent x/xinv and
+    K/Kinv cancelled, no form letter repeated next to itself).  Equality,
+    the hash and ``len`` are the tuple's, so a Word and a plain tuple with
+    the same codes are the same dict key, and the empty word is falsy.
+    Only ``<``, which sorting uses, is not the tuple's: it is the printed
+    order of :meth:`sort_key`.  `factors` views the same word as
+    (Generator, exponent) pairs with nonzero exponents, adjacent equal
+    generators merged, negative exponents only on x and K, and
+    wedge-nilpotent letters (form degree != 0) carrying exponent 1; it is
+    derived from the codes when read.  Construct through
+    :func:`make_word`, or from codes that :func:`canonical_codes`
     returned; the constructor trusts its input.
     """
 
-    __slots__ = ("codes", "_factors", "_hash")
-
-    def __init__(self, codes: tuple):
-        self.codes = codes
-        self._factors = None
-        self._hash = hash(codes)
+    __slots__ = ()
 
     @property
     def factors(self) -> tuple:
-        if self._factors is None:
-            self._factors = tuple(
-                (_BASE[c], _SIGN[c] * n) for c, n in _runs(self.codes)
-            )
-        return self._factors
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.codes == other.codes
-
-    def __hash__(self):
-        return self._hash
+        return tuple((_BASE[c], _SIGN[c] * n) for c, n in _runs(self))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -177,31 +165,27 @@ class Word:
     def sort_key(self):
         """(position, |exponent|) per factor: the printed term order, in
         which x*y sorts before x**2."""
-        return tuple(_runs(self.codes))
+        return tuple(_runs(self))
 
     def is_empty(self) -> bool:
-        return not self.codes
-
-    def __len__(self):
-        """Letter count (exponents counted with multiplicity)."""
-        return len(self.codes)
+        return len(self) == 0
 
     def form_degree(self) -> int:
-        return sum(LETTERS[c].form_degree for c in self.codes)
+        return sum(LETTERS[c].form_degree for c in self)
 
     def letters(self):
         """The signed letters of the word, one per unit power."""
-        return [LETTERS[c] for c in self.codes]
+        return [LETTERS[c] for c in self]
 
     def sectors(self):
-        return {LETTERS[c].sector for c in self.codes}
+        return {LETTERS[c].sector for c in self}
 
     def __str__(self):
         return self.format("*")
 
     def format(self, sep: str) -> str:
         """The factors, `name` or `name^exp`, joined by sep; "1" if empty."""
-        if not self.codes:
+        if self.is_empty():
             return "1"
         return sep.join(
             g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors
@@ -278,7 +262,7 @@ def make_word(pairs) -> Word | None:
             clash = True
         codes.extend(repeat(c, e))
     if not clash:
-        return Word(tuple(codes))
+        return Word(codes)
     codes = canonical_codes(codes)
     return None if codes is None else Word(codes)
 
@@ -493,7 +477,7 @@ def concat(a: Element, b: Element) -> Element:
     terms: dict[Word, QScalar] = {}
     for wa, ca in a.terms():
         for wb, cb in b.terms():
-            codes = canonical_codes(wa.codes + wb.codes)
+            codes = canonical_codes(wa + wb)
             if codes is not None:
                 add_term(terms, Word(codes), ca * cb)
     return Element._raw(terms)

@@ -28,6 +28,23 @@ def test_normalize_unit(capsys):
     assert out == "1\n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("normalize", "x^0"), "1\n"),
+    (("normalize", "(x)^0"), "1\n"),
+    (("normalize", "x*xinv"), "1\n"),
+    (("normalize", "Kinv^2*K"), "K^-1\n"),
+    (("d", "1"), "0\n"),
+    (("act", "x^0", "y"), "y\n"),
+    (("iapply", "x", "1"), "0\n"),
+    (("pair", "X^0", "x"), "1\n"),
+    (("pair", "1", "1"), "1\n"),
+])
+def test_empty_word_commands(capsys, argv, expected):
+    # inputs and results that hold the empty word, which is falsy
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)
+
+
 def test_act_golden(capsys):
     code, out, _ = run(capsys, "act", "Ty", "y")
     assert code == 0

@@ -76,11 +76,11 @@ def test_normal_form_on_codes_matches_uncached_reduction(codes):
         return
     table = builtin_presentation()
     report = normalize_report(Element.from_word(Word(codes)), table)
-    expected = {w.codes: c for w, c in report.output.terms()}
+    expected = dict(report.output.terms())
     for pick, make_rng in SWEEP_STRATEGIES:
         got = _normal_form(codes, table, {}, pick, make_rng())
         assert got == expected
-        assert all(type(k) is tuple for k in got)
+        assert all(type(k) is Word for k in got)
     # the table's shared leftmost memo, cold or warm, answers the same
     leftmost = table.normal_form_cache("leftmost")
     assert _normal_form(codes, table, leftmost, _pick_leftmost, None) == expected

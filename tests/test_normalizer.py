@@ -122,10 +122,26 @@ def test_normalize_report_counts_steps(table):
 def test_strategies_agree_on_sample(table):
     e = parse_element("iy*dx*dy*y + px*x^2*dz")
     for w, _ in e.terms():
-        left = {v.codes: c for v, c in normalize(Element.from_word(w), table)}
-        assert _normal_form(w.codes, table, {}, _pick_rightmost, None) == left
-        assert _normal_form(w.codes, table, {}, _pick_random,
+        left = dict(normalize(Element.from_word(w), table).terms())
+        assert _normal_form(w, table, {}, _pick_rightmost, None) == left
+        assert _normal_form(w, table, {}, _pick_random,
                             random.Random(7)) == left
+
+
+def test_normalize_returns_the_memos_words(table):
+    # every result term is keyed by the Word object the leftmost memo
+    # stores, so repeated calls share one Word per normal word
+    def ids(words):
+        return {id(w) for w in words}
+
+    cache = table.normal_form_cache("leftmost")
+    e = parse_element("iy*dx*dy*y + px*x^2*dz + z*y*x")
+    first, again = normalize(e, table), normalize(e, table)
+    assert first == again and len(first) > 3
+    assert ids(w for w, _ in first.terms()) == ids(w for w, _ in again.terms())
+    for w, _ in e.terms():
+        got = normalize(Element.from_word(w), table)
+        assert ids(v for v, _ in got.terms()) == ids(cache[w])
 
 
 def test_local_confluence_length_three(table):
@@ -205,16 +221,16 @@ def test_rewrite_at_agrees_with_reference(names):
     word = make_word((n, 1) for n in names)
     if word is None:
         return
-    for i in _positions(word.codes):
+    for i in _positions(word):
         try:
             expected = _reference_rewrite(word, i, table)
         except MissingRuleError as exc:
             with pytest.raises(MissingRuleError) as info:
-                _rewrite_at(word.codes, i, table)
+                _rewrite_at(word, i, table)
             assert (info.value.left, info.value.right) == (exc.left, exc.right)
             continue
-        assert _rewrite_at(word.codes, i, table) == [
-            (w.codes, c) for w, c in expected if w is not None
+        assert _rewrite_at(word, i, table) == [
+            (w, c) for w, c in expected if w is not None
         ]
 
 
@@ -242,8 +258,8 @@ def test_rewrite_at_every_rule_seam_agrees_with_reference():
                         continue
                     i = 1 if lname else 0
                     expected = _reference_rewrite(word, i, table)
-                    got = _rewrite_at(word.codes, i, table)
-                    assert got == [(w.codes, c) for w, c in expected
+                    got = _rewrite_at(word, i, table)
+                    assert got == [(w, c) for w, c in expected
                                    if w is not None], names
                     canonicalized += sum(
                         w is None or len(w) < len(word) for w, _ in expected)

@@ -164,6 +164,13 @@ def test_int_and_fraction_scalars_are_equal():
     assert QScalar.rational(Fraction(1, 2)) * 2 == ONE
 
 
+@pytest.mark.parametrize("value", [0, 1, 2, -3, Fraction(1, 2)], ids=str)
+def test_constant_scalar_hashes_as_its_rational(value):
+    s = QScalar.rational(value)
+    assert s == value and hash(s) == hash(value)
+    assert len({s, value}) == 1
+
+
 def test_specializations_return_fractions():
     assert type((ONE + Q).evaluate(2)) is Fraction
     assert type(QScalar.zero().evaluate(3)) is Fraction

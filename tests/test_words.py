@@ -50,6 +50,16 @@ def test_inverse_alias_folds_and_cancels():
     assert w.factors == ((generator("x"), -3),)
 
 
+def test_empty_word_is_a_word_not_none():
+    # the empty word is falsy, so a vanished monomial is told by `is None`
+    w = make_word([("x", 0)])
+    assert w is not None and type(w) is Word
+    assert w == EMPTY_WORD and not w
+    assert str(w) == "1"
+    assert Element.from_word(EMPTY_WORD) == Element.one()
+    assert Element.from_word(w) == Element.one()
+
+
 def test_merge_cascades_through_cancellation():
     # y x^-1 x y  ->  y^2
     w = make_word([("y", 1), ("x", -1), ("x", 1), ("y", 1)])
@@ -156,12 +166,16 @@ def test_element_evaluate():
 
 
 def test_word_codes_are_signed_positions():
+    # a word is its code tuple: a Word and the plain tuple are one dict key
     w = make_word([("x", -2), ("y", 1)])
-    assert w.codes == (6, 6, 8)
+    assert type(w) is Word and isinstance(w, tuple)
+    assert w == (6, 6, 8)
+    assert hash(w) == hash((6, 6, 8))
+    assert {(6, 6, 8): "found"}[w] == "found"
     assert w == Word((6, 6, 8))
     assert hash(w) == hash(Word((6, 6, 8)))
     assert Word((6, 6, 8)).factors == w.factors
-    assert EMPTY_WORD.codes == ()
+    assert EMPTY_WORD == ()
 
 
 def test_canonical_codes_cascades():
@@ -225,7 +239,7 @@ def _reference_make_word(pairs):
 
 def _key(word):
     """A word as (codes, factors), as the reference returns it."""
-    return None if word is None else (word.codes, word.factors)
+    return None if word is None else (word, word.factors)
 
 
 def _outcome(build, pairs):
