@@ -27,13 +27,25 @@ as machine integers, and a ONE coefficient is not multiplied at all.
 Memos and the pending map of a reduction are keyed by code tuples,
 Words or plain tuples alike, since both hash and compare as the tuple in
 C.  Every normal form {Word: coeff} is keyed by Words: a word in normal
-order is wrapped once, when its own form {Word(w): ONE} is stored, and
-every other form sums those.  Stored normal forms are never mutated, so
+order is wrapped when its own form {Word(w): ONE} is stored, a sorted
+word when the sorted form naming it is, and every other form sums
+those.  Stored normal forms are never mutated, so
 they are shared: a step to a single term with coefficient ONE stores its
 child's form object, and :func:`normalize` returns Elements keyed by the
 memo's own Word objects.
 
-One walk, :func:`_walk`, does every reduction.  A strategy rewrites
+One walk, :func:`_walk`, does every reduction.  The leftmost walk first
+tries to sort each word (:func:`_sorted_form`): when every inverted
+letter pair is a pure scaled swap b.a -> c a.b of the table's `swaps`, or
+an x/xinv or K/Kinv pair, the form is the sorted canonical word times
+the product of c**n over the inverted pairs, found in one pass, as
+quantum affine space normal-orders.  The table's guard (every letter's
+swaps against x and xinv, and against K and Kinv, multiply to 1; else
+`swaps` is None and nothing sorts) makes that the form every rewriting
+strategy reaches.  A word with an inverted pair that is not a swap is
+rewritten, and its children are tried again; one such pair in a long
+word (px*x**4000) keeps the rewriting quadratic in its length.  The
+sweep's walk and the other strategies never sort.  A strategy rewrites
 each word at the one position it picks, and the word's form is that
 step's c1*F(w1) + c2*F(w2) + ... once its children are reduced.  The
 confluence sweep rewrites each word at every out-of-order position and
@@ -57,8 +69,8 @@ from dataclasses import dataclass
 
 from .report import CheckResult
 from .scalars import ONE, QScalar
-from .words import (_NO_SEAM, _SEAM, GENERATORS, LETTERS, Element, Word,
-                    add_term, canonical_codes, concat)
+from .words import (_INVERSE, _NO_SEAM, _SEAM, GENERATORS, LETTERS, Element,
+                    Word, add_term, canonical_codes, concat)
 
 
 class MissingRuleError(Exception):
@@ -137,11 +149,15 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
     word's form is `forms`' entry if there is one, else the first step's
     c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or {Word(w): ONE} for a
     word w in normal order, stored under that same Word; it is stored in
-    `forms` and in `done`.  So every form is keyed by the Words of its
-    normal words, one object per word.  Every other step must give that
-    same form, or the walk returns False at once; the forms stored by
-    then stay.  A pair without a rule raises MissingRuleError.
+    `forms` and in `done`.  When `pick` is leftmost and the table has
+    `swaps`, each word is first sorted (:func:`_sorted_form`), and if
+    that succeeds, its sorted form is the form, without a step.
+    So every form is keyed by the Words of its normal words.  Every other
+    step must give that same form, or the walk returns False at once; the
+    forms stored by then stay.  A pair without a rule raises
+    MissingRuleError.
     """
+    swaps = table.swaps if pick is _pick_leftmost else None
     pending: dict[tuple, list] = {}
     stack = list(roots)
     while stack:
@@ -151,6 +167,12 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
             continue
         steps = pending.pop(cur, None)
         if steps is None:
+            if swaps is not None:
+                form = _sorted_form(cur, swaps)
+                if form is not None:
+                    stack.pop()
+                    forms[cur] = done[cur] = form
+                    continue
             positions = _positions(cur)
             if pick is not None and positions:
                 positions = [pick(cur, positions, rng)]
@@ -174,6 +196,37 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
             if other is not form and other != form:
                 return False
     return True
+
+
+def _sorted_form(codes, swaps: dict) -> dict | None:
+    """The normal form of a word by sorting its letters, or None when some
+    inverted letter pair is neither a swap of `swaps` nor an x/xinv or
+    K/Kinv pair.
+
+    One pass over the codes counts the letters seen so far; each letter b
+    after n letters a > b multiplies the coefficient by their swap's c**n,
+    and by 1 for an x/xinv or K/Kinv pair.  The form is
+    {Word(canonical sorted codes): coefficient}, {} when the sorted word
+    vanishes, with the ONE singleton for a coefficient 1.
+    """
+    seen: dict[int, int] = {}
+    half, coeff = 0, 1
+    for b in codes:
+        for a, n in seen.items():
+            if a > b:
+                swap = swaps.get((a, b))
+                if swap is not None:
+                    half += swap[0] * n
+                    coeff *= swap[1] ** n
+                elif _INVERSE[a] != b:
+                    return None
+        seen[b] = seen.get(b, 0) + 1
+    w = canonical_codes(sorted(codes))
+    if w is None:
+        return {}
+    if half == 0 and coeff == 1:
+        return {Word(w): ONE}
+    return {Word(w): QScalar({half: coeff})}
 
 
 def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
@@ -205,10 +258,12 @@ def _combine(children, forms: dict) -> dict:
 def normalize(e: Element, table) -> Element:
     """Reduce an element to its normal form under the table.
 
-    Rewrites the leftmost out-of-order pair first, through the table's
-    shared normal-form memo.  Linear over scalars and idempotent.  Raises
-    MissingRuleError when an out-of-order pair without a rule comes up
-    during reduction.
+    Sorts each word whose inverted pairs are all swaps of `table.swaps`
+    (or x/xinv, K/Kinv pairs), in one pass and one memo entry, and
+    otherwise rewrites the leftmost out-of-order pair first, through the
+    table's shared normal-form memo.  Linear over scalars and idempotent.
+    Raises MissingRuleError when an out-of-order pair without a rule comes
+    up during reduction.
     """
     cache = table.normal_form_cache("leftmost")
     terms: dict[Word, QScalar] = {}

@@ -35,6 +35,7 @@ from .normalizer import _positions
 from .parser import ParseError, parse_element
 from .scalars import ONE
 from .words import (
+    _INVERSE,
     GENERATORS,
     LETTERS,
     Element,
@@ -95,7 +96,9 @@ class RelationTable:
     `compiled` maps each rule's pair of letter codes (positions) to its
     right-hand side as ((word, coeff), ...), in the rule's term order,
     with a coefficient equal to 1 stored as the ONE singleton; the rewrite
-    kernel reads it in place of :meth:`rewrite`.
+    kernel reads it in place of :meth:`rewrite`.  `swaps` holds the pure
+    scaled swaps among them, or is None when the guard of
+    :func:`_swap_table` fails and no word is reduced by sorting.
     """
 
     def __init__(self, rules):
@@ -118,6 +121,7 @@ class RelationTable:
                        for w, c in rule.rhs.terms())
             for key, rule in by_pair.items()
         }
+        self.swaps = _swap_table(self.compiled)
         self._by_pair = by_pair
         self._caches: dict[str, dict] = {}
 
@@ -168,6 +172,36 @@ class RelationTable:
 
     def __repr__(self):
         return f"RelationTable({len(self.rules)} rules)"
+
+
+def _swap_table(compiled):
+    """{(a, b): (h, k)} for every rule a . b -> (k*q**(h/2)) b . a, whose
+    right side is the swapped pair alone times a monomial; None when, for
+    some letter, its swaps against x and xinv, or against K and Kinv, both
+    exist but their coefficients are not mutual inverses.
+
+    A word whose inverted letter pairs are all such swaps, or an x/xinv or
+    K/Kinv pair, reduces by sorting (:func:`qcartan.normalizer._walk`):
+    each swap step drops one inversion and multiplies by its coefficient,
+    and a cancelling x/xinv or K/Kinv pair drops, for every other letter,
+    the two pairs it forms with them, whose coefficients multiply to 1
+    under this guard.  So the sorted word, times each swap's coefficient
+    to the power of its number of inverted pairs, is the form of every
+    rewriting strategy.
+    """
+    swaps = {}
+    for (a, b), rhs in compiled.items():
+        if len(rhs) == 1 and rhs[0][0] == (b, a) and rhs[0][1].is_monomial():
+            (h, k), = rhs[0][1].terms()
+            swaps[(a, b)] = (h, k)
+    for p in (GENERATORS["x"].position, GENERATORS["K"].position):
+        pinv = _INVERSE[p]
+        for g in range(len(LETTERS)):
+            s = swaps.get((max(g, p), min(g, p)))
+            t = swaps.get((max(g, pinv), min(g, pinv)))
+            if s and t and (s[0] + t[0], s[1] * t[1]) != (0, 1):
+                return None
+    return swaps
 
 
 def _validate_rule(rule: Rule):

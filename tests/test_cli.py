@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from qcartan.cli import main
+from qcartan.normalizer import _sorted_form
+from qcartan.parser import parse_element
 from qcartan.relations import builtin_presentation, format_presentation
 
 
@@ -20,6 +22,15 @@ def test_normalize_golden(capsys):
     code, out, _ = run(capsys, "normalize", "y*x")
     assert code == 0
     assert out == "(q^-1) x*y\n"
+
+
+def test_normalize_long_word_sorts(capsys):
+    # the word must sort, or the command would rewrite it quadratically
+    (word, _), = parse_element("y^100000*x").terms()
+    assert _sorted_form(word, builtin_presentation().swaps) is not None
+    code, out, _ = run(capsys, "normalize", "y^100000*x")
+    assert code == 0
+    assert out == "(q^-100000) x*y^100000\n"
 
 
 def test_normalize_unit(capsys):

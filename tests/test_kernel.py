@@ -23,6 +23,7 @@ from qcartan.normalizer import (
     _pick_random,
     _pick_rightmost,
     _positions,
+    _sorted_form,
     _sweep_words,
     check_local_confluence,
     multiply,
@@ -346,6 +347,86 @@ def test_local_resolution_needs_every_rule():
         with pytest.raises(MissingRuleError) as exc:
             sweep(table, [word], _alternatives((1,)))
         assert (exc.value.left.name, exc.value.right.name) == ("wx", "dx")
+
+
+# Rules whose tables fail the sorting guard: a letter's swaps against x and
+# xinv are no longer mutual inverses.  On each, the word beside it reduces
+# one way leftmost and another rightmost, so no single sorted form could
+# stand for both.
+UNSORTABLE = (
+    ("y . x -> (q^-1) x . y", "y . x -> (q^-2) x . y", "y*x*z*xinv"),
+    (GOOD_RULE, BAD_RULE, "x*y*xinv*dy"),
+)
+
+
+def _mutated(good, bad):
+    text = format_presentation(builtin_presentation())
+    assert good in text
+    return load_presentation(text.replace(good, bad))
+
+
+# forms anticommute with -q where the paper has -q^-1; no x or K involved,
+# so the guard still holds
+_SORTABLE_MUTANT = _mutated("dz . dx -> (-q^-1) dx . dz",
+                            "dz . dx -> (-q) dx . dz")
+
+any_codes = st.lists(st.integers(0, len(GENERATORS) - 1),
+                     min_size=2, max_size=7).map(canonical_codes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_codes)
+@example(_codes("y", "x", "z", "xinv"))
+@example(_codes("x", "y", "xinv", "dy"))
+@example(_codes("Kinv", "Tx", "Ty", "K"))
+@example(_codes("dz", "y", "dx", "dz"))
+@example(_codes("x", "dz", "dx", "xinv"))
+def test_sorting_path_agrees_with_uncached_reduction(codes):
+    """A word whose inverted pairs are all swaps (or x/xinv, K/Kinv pairs)
+    sorts to the form that rewriting reaches, on the builtin table and on
+    a mutated one that still passes the guard."""
+    if codes is None:
+        return
+    for table in (builtin_presentation(), _SORTABLE_MUTANT):
+        assert table.swaps is not None
+        form = _sorted_form(codes, table.swaps)
+        if form is None:
+            continue
+        report = normalize_report(Element.from_word(Word(codes)), table)
+        assert form == dict(report.output.terms())
+        assert all(type(k) is Word for k in form)
+        assert all(c is ONE for c in form.values() if c == ONE)
+
+
+def test_sorting_guard_rejects_tables_whose_swaps_do_not_cancel():
+    builtin = builtin_presentation()
+    assert len(builtin.swaps) == 154
+    for good, bad, text in UNSORTABLE:
+        table = _mutated(good, bad)
+        assert table.swaps is None
+        e = parse_element(text)
+        (word, _), = e.terms()
+        assert normalize(e, table) == normalize_report(e, table).output
+        assert (_normal_form(word, table, {}, _pick_leftmost, None)
+                != _normal_form(word, table, {}, _pick_rightmost, None))
+        # on the builtin table the same word sorts
+        assert _sorted_form(word, builtin.swaps) is not None
+
+
+def test_long_word_sorts_into_one_memo_entry():
+    table = RelationTable(builtin_presentation().rules)
+    memo = table.normal_form_cache("leftmost")
+    # each word must sort before it is normalized, so that a broken
+    # sorting path fails here instead of rewriting 100,000 letters one
+    # quadratic step at a time
+    for text, expected in (("y^2*x*y^3", "(q^-2) x*y^5"),
+                           ("y^100000*x", "(q^-100000) x*y^100000")):
+        e = parse_element(text)
+        (word, _), = e.terms()
+        assert _sorted_form(word, table.swaps) is not None
+        before = len(memo)
+        assert str(normalize(e, table)) == expected
+        assert len(memo) == before + 1
 
 
 def test_monomial_product_stays_exact():

@@ -97,6 +97,8 @@ def test_missing_rule_raises(table):
         nf("Tx*px", table)
     assert info.value.left.name == "Tx"
     assert info.value.right.name == "px"
+    assert str(info.value) == ("no rule orders Tx past px; "
+                               "expand derived generators before normalizing")
     with pytest.raises(MissingRuleError):
         nf("ix*Tx", table)
 
