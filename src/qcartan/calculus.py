@@ -22,8 +22,9 @@ time and splice the runs of letters without an image in whole.  :func:`act`
 is bilinear and sums cu * cw * A[u, w], where A[u, w] is normalize(u w)
 with the operator words dropped.  D and A live in the relation table's
 "d" and "act" memos (:meth:`RelationTable.memo`), so they are filled once
-per table and never shared with another table; the shared loop is
-:func:`~qcartan.words.linear_image`.
+per table and never shared with another table; the letter steps of
+operator words (:mod:`qcartan.cartan`) read and fill A too.  The shared
+loop is :func:`~qcartan.words.linear_image`.
 
 The identity checks (:func:`check_d2`, :func:`check_leibniz`,
 :func:`check_d_expansion`, :func:`check_omega_tables`,

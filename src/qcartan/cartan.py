@@ -9,9 +9,13 @@ restatement.
 
 An operator word is applied one signed letter at a time, rightmost first
 (a power is just its letter repeated), and each letter step is a linear
-map: its image of a basis word is computed once, through the real
-:func:`act`, :func:`lie_apply` or multiplication (the one-form expansion
-included), and kept in the relation table's "letter" memo.
+map whose image of a basis word is computed once.  A coordinate,
+differential, partial, Lie or inner letter u steps by the action of the
+one-letter word u (on a form, left multiplication by a coordinate or a
+differential drops no word), so its images are :func:`act`'s own,
+shared with it in the relation table's "act" memo under (u, w).  The
+"letter" memo holds only the Lie-derivative steps, through
+:func:`lie_apply`, and the one-form-expansion steps.
 :func:`verify_table` still applies both sides of every rule to every
 basis form; only the repeated per-word work is read back.
 
@@ -28,6 +32,7 @@ from .words import Element, Sector, Word, concat, linear_image
 from .normalizer import multiply
 from .calculus import (
     _OMEGAS,
+    _act_word,
     act,
     basis_forms,
     coordinate_monomials,
@@ -60,23 +65,22 @@ def lie_apply(a: str, f: Element, table) -> Element:
 
 
 def _letter_step(g, expand_omega: bool, table):
-    """(memo tag, image of one word) for the step of the letter g."""
+    """(memo, tag, image of one word) for the step of the letter g."""
     name = g.name
     if g.sector is Sector.LIEDERIV:
-        return name, lambda w: lie_apply(name[1], Element.from_word(w), table)
-    if g.sector in (Sector.PARTIAL, Sector.LIE, Sector.INNER):
-        return name, lambda w: act(Element.from_letter(name),
-                                   Element.from_word(w), table)
+        return table.memo("letter"), name, lambda w: lie_apply(
+            name[1], Element.from_word(w), table)
     if expand_omega and name in _OMEGAS:
-        return ("expand", name), lambda w: multiply(
+        return table.memo("letter"), ("expand", name), lambda w: multiply(
             omega_images()[name], Element.from_word(w), table)
-    return name, lambda w: multiply(
-        Element.from_letter(name), Element.from_word(w), table)
+    u = Word((g.position,))
+    return table.memo("act"), u, lambda w: _act_word(u, w, table)
 
 
 def apply_operator_word(word: Word, target: Element, table,
                         expand_omega: bool = False) -> Element:
-    """Apply a word of mixed letters to a form, rightmost letter first.
+    """Apply a word of mixed letters to a function/form, rightmost letter
+    first.
 
     Coordinates and differentials multiply from the left; partials, Lie
     generators and inner derivations act through the table; Lie-derivative
@@ -85,10 +89,9 @@ def apply_operator_word(word: Word, target: Element, table,
     of their own).  Each letter's image of each word is computed once per
     table and memoized.
     """
-    memo = table.memo("letter")
     out = target
     for g in reversed(word.letters()):
-        tag, image = _letter_step(g, expand_omega, table)
+        memo, tag, image = _letter_step(g, expand_omega, table)
         out = linear_image(out, memo, image, tag)
     return out
 

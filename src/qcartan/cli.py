@@ -2,6 +2,12 @@
 
 Values print in a fixed canonical form (terms in normal order, scalars
 with ascending q exponents), so identical invocations are byte-identical.
+The six value commands (normalize, d, act, iapply, lapply, pair) are one
+table of help text, operands and value function, run by one command
+function that resolves the relation table once and prints the value: an
+element term by term, a pairing as one scalar, both specialized under
+``--q``.
+
 Each check suite is one entry of a name -> check-function table; every
 check returns a :class:`~qcartan.report.CheckReport`.  The rows of a
 suite are sorted, then printed one JSON record per row in json-lines
@@ -121,50 +127,47 @@ def _cmd_check(args) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_normalize(args) -> int:
-    table = _resolve_table(args)
-    _print_element(normalize(parse_element(args.expr), table), args)
-    return 0
+def _target(args, table) -> Element:
+    """The normal form of the expression operand."""
+    return normalize(parse_element(args.expr), table)
 
 
-def _cmd_d(args) -> int:
-    table = _resolve_table(args)
-    e = normalize(parse_element(args.expr), table)
-    _print_element(calculus.exterior_d(e, table), args)
-    return 0
+_EXPR = ("expr", {})
+_DIRECTION = ("direction", {"choices": ("x", "y", "z")})
+
+# value command -> (help, operands as (name, add_argument keywords),
+# value(args, table)); argument lists are evaluated left to right, so
+# act and pair parse the operator before the expression
+_VALUES = {
+    "normalize": ("print the normal form of an expression", (_EXPR,),
+                  _target),
+    "d": ("exterior derivative", (_EXPR,),
+          lambda a, t: calculus.exterior_d(_target(a, t), t)),
+    "act": ("apply an operator element from the left",
+            (("operator", {}), _EXPR),
+            lambda a, t: calculus.act(parse_element(a.operator),
+                                      _target(a, t), t)),
+    "iapply": ("contract with an inner derivation", (_DIRECTION, _EXPR),
+               lambda a, t: cartan.inner_apply(a.direction, _target(a, t),
+                                               t)),
+    "lapply": ("Lie derivative via the Cartan formula", (_DIRECTION, _EXPR),
+               lambda a, t: cartan.lie_apply(a.direction, _target(a, t), t)),
+    "pair": ("duality pairing <u, monomial>",
+             (("operator", {"help": "dual-algebra element (X, Y, Z, K)"}),
+              ("expr", {"help": "coordinate monomial, e.g. 'x^2*y'"})),
+             lambda a, t: duality.pair(parse_element(a.operator),
+                                       parse_element(a.expr), t)),
+}
 
 
-def _cmd_act(args) -> int:
-    table = _resolve_table(args)
-    operator = parse_element(args.operator)
-    target = normalize(parse_element(args.expr), table)
-    _print_element(calculus.act(operator, target, table), args)
-    return 0
-
-
-def _cmd_iapply(args) -> int:
-    table = _resolve_table(args)
-    target = normalize(parse_element(args.expr), table)
-    _print_element(cartan.inner_apply(args.direction, target, table), args)
-    return 0
-
-
-def _cmd_lapply(args) -> int:
-    table = _resolve_table(args)
-    target = normalize(parse_element(args.expr), table)
-    _print_element(cartan.lie_apply(args.direction, target, table), args)
-    return 0
-
-
-def _cmd_pair(args) -> int:
-    table = _resolve_table(args)
-    u = parse_element(args.operator)
-    f = parse_element(args.expr)
-    value = duality.pair(u, f, table)
-    if args.q is not None:
-        print(value.evaluate(args.q))
+def _cmd_value(args) -> int:
+    """Print the value of one value command: an Element in canonical
+    form, a QScalar as itself or, under --q, as the rational it takes."""
+    value = _VALUES[args.command][2](args, _resolve_table(args))
+    if isinstance(value, Element):
+        _print_element(value, args)
     else:
-        print(value)
+        print(value if args.q is None else value.evaluate(args.q))
     return 0
 
 
@@ -184,39 +187,12 @@ def build_argparser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="print the normal form of an expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_normalize)
-
-    p = sub.add_parser("d", help="exterior derivative")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_d)
-
-    p = sub.add_parser("act", help="apply an operator element from the left")
-    p.add_argument("operator")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_act)
-
-    p = sub.add_parser("iapply", help="contract with an inner derivation")
-    p.add_argument("direction", choices=("x", "y", "z"))
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_iapply)
-
-    p = sub.add_parser("lapply", help="Lie derivative via the Cartan formula")
-    p.add_argument("direction", choices=("x", "y", "z"))
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_lapply)
-
-    p = sub.add_parser("pair", help="duality pairing <u, monomial>")
-    p.add_argument("operator", help="dual-algebra element (X, Y, Z, K)")
-    p.add_argument("expr", help="coordinate monomial, e.g. 'x^2*y'")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_pair)
+    for command, (help_text, operands, _) in _VALUES.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, options in operands:
+            p.add_argument(name, **options)
+        _add_common(p)
+        p.set_defaults(fn=_cmd_value)
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)

@@ -37,7 +37,8 @@ from .scalars import ONE, QScalar
 from .words import Element, Sector, Word, add_term, concat, make_word
 from .normalizer import multiply, normalize, commutator
 from .report import CheckReport, CheckResult
-from .hopf import HopfPresentation, antipode, coproduct, tensor
+from .hopf import (HopfPresentation, _letter_products, antipode, coproduct,
+                   tensor)
 
 EPS_CONVENTION_NOTE = (
     "unit pairing uses <1,f> = [l=0][m=0], the multiplicative extension of "
@@ -346,21 +347,12 @@ def pairing_matrix(max_word_len: int, max_total_degree: int, table):
     total degree up to the bound.  Returned as (rows, cols, matrix of
     QScalar).
     """
-    letters = ("Tx", "Ty", "Tz")
-    rows = [()]
-    frontier = [()]
-    for _ in range(max_word_len):
-        frontier = [seq + (n,) for seq in frontier for n in letters]
-        rows.extend(frontier)
-    row_words = []
-    seen = set()
-    for seq in rows:
+    rows = {}
+    for product in _letter_products(("Tx", "Ty", "Tz"), max_word_len):
         # distinct basis words of the commutative dual algebra
-        nf = normalize(Element.from_word(make_word((n, 1) for n in seq)), table)
-        (w, _), = nf.terms()
-        if w not in seen:
-            seen.add(w)
-            row_words.append(w)
+        (w, _), = normalize(Element.from_word(product), table).terms()
+        rows.setdefault(w)
+    row_words = list(rows)
     cols = [
         Monomial(k, l, m)
         for k in range(max_total_degree + 1)

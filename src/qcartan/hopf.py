@@ -10,18 +10,20 @@ and normalize independently with no crossing signs.
 Coproduct, counit and antipode extend the letter images over a word one
 signed letter at a time (a power is its letter repeated).  The coproduct
 of each word is computed once per presentation and kept in the relation
-table's "coproduct" memo, keyed by the presentation object itself and the
-word, so two presentations never share an entry, even under one name.
+table's "coproduct" memo through :func:`~qcartan.words.linear_image`,
+keyed by the presentation object itself and the word, so two
+presentations never share an entry, even under one name.  Tensor slots
+multiply with :func:`~qcartan.normalizer.multiply`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .scalars import ONE, QScalar
 from .words import (EMPTY_WORD, GENERATORS, Element, Word, add_term,
-                    canonical_codes, concat)
+                    canonical_codes, concat, linear_image)
 from .normalizer import multiply, normalize
 from .report import CheckReport, CheckResult
 
@@ -119,14 +121,6 @@ def tensor(*elements: Element) -> TensorElement:
     return TensorElement._raw(len(elements), out)
 
 
-def _slot_product(wa: Word, wb: Word, table) -> Element:
-    """Normal form of the product of two slot words."""
-    codes = canonical_codes(wa + wb)
-    if codes is None:
-        return Element.zero()
-    return normalize(Element._raw({Word(codes): ONE}), table)
-
-
 def tensor_mul(a: TensorElement, b: TensorElement, table) -> TensorElement:
     """(u1 (x) u2)(v1 (x) v2) = u1 v1 (x) u2 v2, slots normalized."""
     if a.arity != b.arity:
@@ -134,7 +128,8 @@ def tensor_mul(a: TensorElement, b: TensorElement, table) -> TensorElement:
     out = {}
     for ka, ca in a.terms():
         for kb, cb in b.terms():
-            slots = [_slot_product(wa, wb, table) for wa, wb in zip(ka, kb)]
+            slots = [multiply(Element.from_word(wa), Element.from_word(wb),
+                              table) for wa, wb in zip(ka, kb)]
             _add_outer(out, slots, ca * cb)
     return TensorElement._raw(a.arity, out)
 
@@ -253,21 +248,18 @@ def presentation(alg) -> HopfPresentation:
 
 def coproduct(alg, e: Element, table) -> TensorElement:
     """Multiplicative extension of the generator coproducts, summed over
-    the terms of e from the per-word coproducts in the table's memo."""
+    the terms of e from the per-word coproducts in the table's memo,
+    under the key (presentation, word)."""
     pres = presentation(alg)
-    memo = table.memo("coproduct")
-    out = {}
-    for word, coeff in e.terms():
-        key = (pres, word)
-        delta = memo.get(key)
-        if delta is None:
-            delta = TensorElement.unit(2)
-            for name in pres.names(word):
-                delta = tensor_mul(delta, pres.delta[name], table)
-            memo[key] = delta
-        for k, c in delta.terms():
-            add_term(out, k, c * coeff)
-    return TensorElement._raw(2, out)
+
+    def word_coproduct(word):
+        delta = TensorElement.unit(2)
+        for name in pres.names(word):
+            delta = tensor_mul(delta, pres.delta[name], table)
+        return delta
+
+    return linear_image(e, table.memo("coproduct"), word_coproduct, pres,
+                        wrap=partial(TensorElement._raw, 2))
 
 
 def counit(alg, e: Element) -> QScalar:
@@ -299,9 +291,9 @@ def antipode(alg, e: Element, table) -> Element:
 # ---------------------------------------------------------------------------
 # axiom sweep
 
-def _letter_products(pres: HopfPresentation, max_len: int):
-    """All products of presentation letters up to the given length."""
-    letters = [GENERATORS[name].position for name in pres.letters]
+def _letter_products(names, max_len: int):
+    """All products of the named letters up to the given length."""
+    letters = [GENERATORS[name].position for name in names]
     words = [()]
     frontier = [()]
     for _ in range(max_len):
@@ -323,7 +315,7 @@ def check_hopf_axioms(alg, max_len: int, table) -> CheckReport:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     pres = presentation(alg)
-    words = _letter_products(pres, max_len)
+    words = _letter_products(pres.letters, max_len)
     results = []
     delta = {}
     for w in words:

@@ -369,8 +369,8 @@ def _coverage(table):
                     extra.add(let.name)
         introduces[(u.name, v.name)] = extra
     # merging handles the inverse pairs structurally
-    covered.add(frozenset(("x", "xinv")))
-    covered.add(frozenset(("K", "Kinv")))
+    covered.update(frozenset((g.name, g.inverse_name))
+                   for g in LETTERS if g.inverse_name)
     return covered, introduces
 
 

@@ -194,8 +194,9 @@ def _swap_table(compiled):
         if len(rhs) == 1 and rhs[0][0] == (b, a) and rhs[0][1].is_monomial():
             (h, k), = rhs[0][1].terms()
             swaps[(a, b)] = (h, k)
-    for p in (GENERATORS["x"].position, GENERATORS["K"].position):
-        pinv = _INVERSE[p]
+    for p, pinv in enumerate(_INVERSE):
+        if pinv < p:  # no inverse, or a pair already checked
+            continue
         for g in range(len(LETTERS)):
             s = swaps.get((max(g, p), min(g, p)))
             t = swaps.get((max(g, pinv), min(g, pinv)))

@@ -287,28 +287,6 @@ def add_term(terms: dict, key, c) -> None:
         terms.pop(key, None)
 
 
-def linear_image(f: Element, memo: dict, image, tag=None,
-                 scale=None) -> Element:
-    """The image of f under the linear map with value image(w) on a word w.
-
-    Each word's image is computed once and stored in memo under (tag, w),
-    or under w when tag is None; later calls, with this element or any
-    other holding w, read it from there.  The result is multiplied by
-    scale, when given.
-    """
-    terms: dict[Word, QScalar] = {}
-    for w, c in f.terms():
-        key = w if tag is None else (tag, w)
-        img = memo.get(key)
-        if img is None:
-            img = memo[key] = image(w)
-        if scale is not None:
-            c = scale * c
-        for iw, ic in img.terms():
-            add_term(terms, iw, c * ic)
-    return Element._raw(terms)
-
-
 def single(name: str, exponent: int = 1) -> Word:
     w = make_word([(name, exponent)])
     assert w is not None
@@ -467,6 +445,30 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
+
+
+def linear_image(f: Element, memo: dict, image, tag=None, scale=None,
+                 wrap=Element._raw):
+    """The image of f under the linear map with value image(w) on a word w.
+
+    Each word's image is computed once and stored in memo under (tag, w),
+    or under w when tag is None; later calls, with this element or any
+    other holding w, read it from there.  The result is multiplied by
+    scale, when given.  An image is anything with sparse terms(), an
+    Element or a tensor, and wrap builds the result of the same kind from
+    the summed terms.
+    """
+    terms = {}
+    for w, c in f.terms():
+        key = w if tag is None else (tag, w)
+        img = memo.get(key)
+        if img is None:
+            img = memo[key] = image(w)
+        if scale is not None:
+            c = scale * c
+        for iw, ic in img.terms():
+            add_term(terms, iw, c * ic)
+    return wrap(terms)
 
 
 def concat(a: Element, b: Element) -> Element:

@@ -104,6 +104,11 @@ def test_q_specialization(capsys):
     (("d", "x^2*y^3", "--q", "9/4"), "(2) dx*x*y^3 + (243/16) dy*x^2*y^2\n"),
     (("d", "xinv*z", "--q", "3"), "(-1) dx*x^-2*z + (1/3) dz*x^-1\n"),
     (("normalize", "x*xinv - 1", "--q", "9/4"), "0\n"),
+    (("pair", "K", "x", "--q", "9/4"), "3/2\n"),
+    (("pair", "K^3*X", "x^2", "--q", "9/4"), "729/32\n"),
+    (("act", "Tx+Ty", "x*y^2", "--q", "9/4"), "(3) x*y^2 + (9/2) x^2*y\n"),
+    (("iapply", "y", "x*dy*dz", "--q", "9/4"), "(81/16) dz*x\n"),
+    (("lapply", "y", "x*y^2", "--q", "9/4"), "(9/2) x*y\n"),
 ])
 def test_q_specialization_prints_rationals(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
@@ -152,9 +157,13 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
      "exponent 1/4 of q is not a half-integer (at position 8)"),
     # evaluation as the text is read: the first error is the one reported
     (("normalize", "y^-1 + )"), "negative power of y is not defined"),
+    # act parses its operator before it reads the expression
+    (("act", "0^-1", "y^-1"), "0 to the power -1 is not defined (at position 3)"),
+    (("act", "px", "y^-1"), "negative power of y is not defined"),
     # the sweep would grow to about 16M words at length 6
     (("check", "confluence", "--max-degree", "6"), "max_len must be at most 5"),
-], ids=["zero", "q-quarter", "reading-order", "confluence-length"])
+], ids=["zero", "q-quarter", "reading-order", "act-operator-first",
+        "act-expression", "confluence-length"])
 def test_expression_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

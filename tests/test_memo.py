@@ -215,6 +215,24 @@ def test_checker_still_fails_on_corrupt_table_after_builtin_run(
     assert check_d2(2, corrupt).passed is False
 
 
+def test_operator_letter_steps_share_the_act_memo():
+    table = fresh_table()
+    px = make_word([("px", 1)])
+    f = parse_element("x^2*y + dx*z - (q)*dy*dz*x")
+    expected = act(Element.from_word(px), f, table)
+    info = table.cache_info()
+    assert apply_operator_word(px, f, table) == expected
+    assert table.cache_info() == info
+    # a coordinate or differential letter steps by left multiplication
+    for name in ("x", "xinv", "y", "z", "dx", "dy", "dz"):
+        letter = Element.from_letter(name)
+        for w in basis_forms(2):
+            target = Element.from_word(w)
+            assert apply_operator_word(make_word([(name, 1)]), target,
+                                       table) == multiply(letter, target,
+                                                          table)
+
+
 def test_second_cartan_tables_run_adds_no_entries():
     table = fresh_table()
     run_suite("cartan-tables", 2, (1,), table)
