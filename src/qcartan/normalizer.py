@@ -15,14 +15,17 @@ The kernel works on integer letter codes: a :class:`~qcartan.words.Word`
 is the tuple of its codes, and the kernel's own splices stay plain
 tuples.  An out-of-order pair is an index i with codes[i] > codes[i+1];
 one rewrite step looks the pair up in the table's compiled rules (each
-right-hand side stored once as ((word, coeff), ...), a coefficient 1 as
-the ONE singleton) and splices codes[:i] + mid + codes[i+2:] for every
-term.  The two slices and the compiled term are canonical already, so
-only a term whose seams can cancel (x/xinv, K/Kinv) or vanish (a
-repeated form letter), as read from a 24x24 table, goes through
-:func:`~qcartan.words.canonical_codes`.  Coefficients are QScalars whose
-integral coefficients are ints, so the +-q**k rule coefficients multiply
-as machine integers, and a ONE coefficient is not multiplied at all.
+right-hand side stored once as ((word, coeff), ...), each monomial
+coefficient the shared scalar of :func:`~qcartan.scalars.monomial`) and
+splices codes[:i] + mid + codes[i+2:] for every term.  The two slices
+and the compiled term are canonical already, so only a term whose seams
+can cancel (x/xinv, K/Kinv) or vanish (a repeated form letter), as read
+from a 24x24 table, goes through :func:`~qcartan.words.canonical_codes`.
+Coefficients are QScalars whose integral coefficients are ints, so the
++-q**k rule coefficients multiply as machine integers into shared
+monomials: a coefficient 1 is the ONE singleton and is not multiplied at
+all, and equal coefficients are one object, so comparing two forms
+compares them by identity.
 
 Memos and the pending map of a reduction are keyed by code tuples,
 Words or plain tuples alike, since both hash and compare as the tuple in
@@ -68,7 +71,7 @@ import random
 from dataclasses import dataclass
 
 from .report import CheckResult
-from .scalars import ONE, QScalar
+from .scalars import ONE, QScalar, monomial
 from .words import (_INVERSE, _NO_SEAM, _SEAM, GENERATORS, LETTERS, Element,
                     Word, add_term, canonical_codes, concat)
 
@@ -207,7 +210,8 @@ def _sorted_form(codes, swaps: dict) -> dict | None:
     after n letters a > b multiplies the coefficient by their swap's c**n,
     and by 1 for an x/xinv or K/Kinv pair.  The form is
     {Word(canonical sorted codes): coefficient}, {} when the sorted word
-    vanishes, with the ONE singleton for a coefficient 1.
+    vanishes.  The coefficient is :func:`~qcartan.scalars.monomial`'s
+    shared scalar, so a coefficient 1 is the ONE singleton.
     """
     seen: dict[int, int] = {}
     half, coeff = 0, 1
@@ -224,9 +228,7 @@ def _sorted_form(codes, swaps: dict) -> dict | None:
     w = canonical_codes(sorted(codes))
     if w is None:
         return {}
-    if half == 0 and coeff == 1:
-        return {Word(w): ONE}
-    return {Word(w): QScalar({half: coeff})}
+    return {Word(w): monomial(half, coeff)}
 
 
 def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
@@ -374,21 +376,44 @@ def _coverage(table):
     return covered, introduces
 
 
-def _closure_ok(names, covered, introduces):
-    """Whether every pair reachable from the letter set `names` is covered."""
-    names = set(names)
-    while True:
-        for a in names:
-            for b in names:
-                if a != b and frozenset((a, b)) not in covered:
-                    return False
-        grown = set(names)
-        for pair, extra in introduces.items():
-            if pair[0] in names and pair[1] in names:
-                grown |= extra
-        if grown == names:
-            return True
-        names = grown
+def _closure_masks(table):
+    """Per letter code a, the mask of letters b whose pair with a has no
+    rule, and {b: codes of the letters a rule for the pair a, b (either
+    order) introduces}: the data of :func:`_close` as letter masks."""
+    covered, introduces = _coverage(table)
+    uncovered = [sum(1 << b.position for b in LETTERS if b is not a
+                     and frozenset((a.name, b.name)) not in covered)
+                 for a in LETTERS]
+    intro: list[dict[int, list]] = [{} for _ in LETTERS]
+    for (u, v), extra in introduces.items():
+        a, b = GENERATORS[u].position, GENERATORS[v].position
+        codes = [GENERATORS[n].position for n in extra]
+        intro[a].setdefault(b, []).extend(codes)
+        intro[b].setdefault(a, []).extend(codes)
+    return uncovered, intro
+
+
+def _close(closed: int, code: int, uncovered, intro) -> int | None:
+    """The closure of the letter set closed | {code} under the letters
+    rules introduce, as a mask, or None when it holds a pair without a
+    rule.
+
+    `closed` must be a closure whose pairs all have rules (0 is one), so
+    only pairs with a letter added here are checked: the closure of
+    close(S) | {a} is the closure of S | {a}.
+    """
+    mask, todo = closed, [code]
+    while todo:
+        a = todo.pop()
+        if mask >> a & 1:
+            continue
+        if uncovered[a] & mask:
+            return None
+        mask |= 1 << a
+        for b, extra in intro[a].items():
+            if mask >> b & 1:
+                todo.extend(extra)
+    return mask
 
 
 def _sweep_words(table, max_len: int):
@@ -398,36 +423,40 @@ def _sweep_words(table, max_len: int):
 
     Words are enumerated as letter-code sequences of length <= max_len,
     prefiltered by pairwise rule coverage (with introduced-letter closure).
-    The closure verdict is memoized per letter set, kept as a bitmask of
-    letter codes, and each sequence's canonical form extends its prefix's
-    by one letter, which cancels or vanishes against the prefix's last.
+    Each prefix carries the closure of its letters as a bitmask of letter
+    codes; a letter inside it changes nothing, and the closure with any
+    other letter is extended from the prefix's (:func:`_close`) once per
+    resulting letter set.  Each sequence's canonical form extends its
+    prefix's by one letter, which cancels or vanishes against the
+    prefix's last.
     """
-    letters = sorted({r.left.name for r in table.rules}
-                     | {r.right.name for r in table.rules})
-    covered, introduces = _coverage(table)
-    ok_sets: dict[int, bool] = {}
+    names = {r.left.name for r in table.rules} | {
+        r.right.name for r in table.rules}
+    letters = [GENERATORS[name].position for name in sorted(names)]
+    uncovered, intro = _closure_masks(table)
+    closures: dict[int, int | None] = {}
     subtree = [1] * (max_len + 1)  # sequences rooted at depth d, incl. the root
     for d in range(max_len - 1, -1, -1):
         subtree[d] = 1 + len(letters) * subtree[d + 1]
-    letter_codes = [(name, GENERATORS[name].position) for name in letters]
     words: list[tuple] = []
     seen: set[tuple] = set()
     skipped = 0
-    # (length, letter mask, canonical form or None) of each prefix
+    # (length, closure mask, canonical form or None) of each prefix
     stack = [(0, 0, ())]
     while stack:
-        depth, mask, prefix = stack.pop()
+        depth, closed, prefix = stack.pop()
         depth += 1
         seam = _SEAM[prefix[-1]] if prefix else _NO_SEAM
-        for _, code in letter_codes:
-            m = mask | 1 << code
-            ok = ok_sets.get(m)
-            if ok is None:
-                names = {n for n, c in letter_codes if m >> c & 1}
-                ok = ok_sets[m] = _closure_ok(names, covered, introduces)
-            if not ok:
-                skipped += subtree[depth]
-                continue
+        for code in letters:
+            closure = closed
+            if not closed >> code & 1:
+                m = closed | 1 << code
+                if m not in closures:
+                    closures[m] = _close(closed, code, uncovered, intro)
+                closure = closures[m]
+                if closure is None:
+                    skipped += subtree[depth]
+                    continue
             if prefix is None:
                 w = None
             elif seam[code]:
@@ -438,7 +467,7 @@ def _sweep_words(table, max_len: int):
                 seen.add(w)
                 words.append(w)
             if depth < max_len:
-                stack.append((depth, m, w))
+                stack.append((depth, closure, w))
     return words, skipped
 
 

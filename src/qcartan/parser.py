@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 from functools import cache
 
-from .scalars import QScalar
+from .scalars import QScalar, monomial
 from .words import Element, GENERATORS, MAX_EXPONENT, concat, make_word
 
 # Each nesting level costs four parser frames (expr, term, factor, atom),
@@ -264,7 +264,7 @@ def _element(value) -> Element:
         return _letter(v)
     if tag == "num":
         return Element.scalar(QScalar.rational(v))
-    return Element.scalar(QScalar._raw({v: 1}))
+    return Element.scalar(monomial(v, 1))
 
 
 @cache

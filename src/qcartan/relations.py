@@ -33,7 +33,7 @@ from importlib.resources import files
 
 from .normalizer import _positions
 from .parser import ParseError, parse_element
-from .scalars import ONE
+from .scalars import ONE, monomial
 from .words import (
     _INVERSE,
     GENERATORS,
@@ -95,10 +95,13 @@ class RelationTable:
 
     `compiled` maps each rule's pair of letter codes (positions) to its
     right-hand side as ((word, coeff), ...), in the rule's term order,
-    with a coefficient equal to 1 stored as the ONE singleton; the rewrite
-    kernel reads it in place of :meth:`rewrite`.  `swaps` holds the pure
-    scaled swaps among them, or is None when the guard of
-    :func:`_swap_table` fails and no word is reduced by sorting.
+    with each monomial coefficient the shared scalar of
+    :func:`~qcartan.scalars.monomial` (so a coefficient 1 is the ONE
+    singleton); the rewrite kernel reads it in place of :meth:`rewrite`.
+    Sharing is safe because no QScalar's terms are mutated after it is
+    built.  `swaps` holds the pure scaled swaps among them, or is None
+    when the guard of :func:`_swap_table` fails and no word is reduced by
+    sorting.
     """
 
     def __init__(self, rules):
@@ -117,7 +120,7 @@ class RelationTable:
             by_pair[k] for k in sorted(by_pair)
         )
         self.compiled = {
-            key: tuple((w, ONE if c == ONE else c)
+            key: tuple((w, monomial(*c.terms()[0]) if c.is_monomial() else c)
                        for w, c in rule.rhs.terms())
             for key, rule in by_pair.items()
         }

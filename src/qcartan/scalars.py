@@ -7,6 +7,15 @@ coefficient is stored as an int when it is integral and as a Fraction
 otherwise (see :func:`_exact`), so the common +-q**k coefficients of the
 rule table multiply as machine integers.  No floating point is used
 anywhere.
+
+Monomials are shared: :func:`monomial` returns the one QScalar for each
+value c*q**(h/2), and the constructors, negation, inversion, a sum that
+leaves one term and the product of two monomials all go through it.  So
+the few dozen coefficient values of a rule table's normal forms are a
+few dozen objects, equal values compare by identity, and a product
+equal to 1 is the ONE singleton.  That is safe because a QScalar's
+``_terms`` is never mutated after construction: every operation returns
+a new or a shared scalar.
 """
 
 from __future__ import annotations
@@ -55,10 +64,7 @@ class QScalar:
 
     @classmethod
     def rational(cls, c) -> "QScalar":
-        c = _exact(c)
-        if not c:
-            return _ZERO
-        return cls._raw({0: c})
+        return monomial(0, c)
 
     @classmethod
     def q_power(cls, exponent, coeff=1) -> "QScalar":
@@ -67,10 +73,7 @@ class QScalar:
         e = Fraction(exponent)
         if e.denominator not in (1, 2):
             raise ValueError(f"exponent {exponent} is not a half-integer")
-        c = _exact(coeff)
-        if not c:
-            return _ZERO
-        return cls._raw({int(2 * e): c})
+        return monomial(int(2 * e), coeff)
 
     @classmethod
     def _raw(cls, terms: dict) -> "QScalar":
@@ -132,11 +135,17 @@ class QScalar:
                 terms[h] = s
             else:
                 terms.pop(h, None)
+        if len(terms) == 1:
+            (h, c), = terms.items()
+            return monomial(h, c)
         return QScalar._raw(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if len(self._terms) == 1:
+            (h, c), = self._terms.items()
+            return monomial(h, -c)
         return QScalar._raw({h: -c for h, c in self._terms.items()})
 
     def __sub__(self, other):
@@ -158,12 +167,10 @@ class QScalar:
                 return NotImplemented
         a, b = self._terms, other._terms
         if len(a) == 1 and len(b) == 1:
-            # monomial times monomial, the rule table's common case: an
-            # int product is already in canonical stored form
+            # monomial times monomial, the rule table's common case
             (ha, ca), = a.items()
             (hb, cb), = b.items()
-            c = ca * cb
-            return QScalar._raw({ha + hb: c if type(c) is int else _exact(c)})
+            return monomial(ha + hb, ca * cb)
         if not a or not b:
             return _ZERO
         terms = {}
@@ -198,7 +205,7 @@ class QScalar:
         if len(self._terms) != 1:
             raise ValueError(f"cannot invert non-monomial scalar {self}")
         (h, c), = self._terms.items()
-        return QScalar._raw({-h: _exact(1 / Fraction(c))})
+        return monomial(-h, 1 / Fraction(c))
 
     # -- specialization ----------------------------------------------
 
@@ -256,6 +263,25 @@ class QScalar:
         return f"QScalar({self})"
 
 
+def monomial(h: int, c) -> QScalar:
+    """The shared QScalar c*q**(h/2) (ZERO when c is 0).
+
+    One object per value, kept in a module dict keyed by (h, c) for the
+    life of the process: a rule table's normal forms take a few dozen
+    values, and a long session a few thousand.  A lookup with an int or a
+    Fraction finds the same entry, since equal rationals hash equally; a
+    miss stores the canonical (int h, _exact(c)) key.
+    """
+    s = _MONOMIALS.get((h, c))
+    if s is None:
+        c = _exact(c)
+        if not c:
+            return _ZERO
+        h = int(h)
+        s = _MONOMIALS[h, c] = QScalar._raw({h: c})
+    return s
+
+
 def _exact(c):
     """The canonical stored form of a rational: an int when integral, else
     a Fraction.  Non-int input goes through Fraction, so division never
@@ -295,13 +321,14 @@ def _rational_sqrt(v: Fraction) -> Fraction | None:
 
 _F0 = Fraction(0)
 _ZERO = QScalar._raw({})
-_ONE = QScalar._raw({0: 1})
+_MONOMIALS: dict[tuple, QScalar] = {}
+_ONE = monomial(0, 1)
 
 ZERO = _ZERO
 ONE = _ONE
-Q = QScalar._raw({2: 1})
-Q_INV = QScalar._raw({-2: 1})
-Q_HALF = QScalar._raw({1: 1})
+Q = monomial(2, 1)
+Q_INV = monomial(-2, 1)
+Q_HALF = monomial(1, 1)
 
 
 def parse_scalar(text: str) -> QScalar:

@@ -14,9 +14,10 @@ from qcartan.calculus import act, exterior_d
 from qcartan.normalizer import (
     ConfluenceReport,
     MissingRuleError,
-    _coverage,
-    _closure_ok,
+    _close,
+    _closure_masks,
     _closure_resolves,
+    _coverage,
     _divergences,
     _normal_form,
     _pick_leftmost,
@@ -59,10 +60,35 @@ SWEEP_STRATEGIES = [
 ] + [(_pick_random, lambda s=s: random.Random(s)) for s in (1, 2, 3, 4, 5)]
 
 
+def _closure_ok(names, covered, introduces):
+    """Whether every pair reachable from the letter set `names` is covered:
+    the closure recomputed from scratch on sets of letter names."""
+    names = set(names)
+    while True:
+        for a in names:
+            for b in names:
+                if a != b and frozenset((a, b)) not in covered:
+                    return False
+        grown = set(names)
+        for pair, extra in introduces.items():
+            if pair[0] in names and pair[1] in names:
+                grown |= extra
+        if grown == names:
+            return True
+        names = grown
+
+
 def test_covered_sets_are_closed():
-    covered, introduces = _coverage(builtin_presentation())
+    table = builtin_presentation()
+    covered, introduces = _coverage(table)
+    uncovered, intro = _closure_masks(table)
     for names in COVERED_SETS:
         assert _closure_ok(names, covered, introduces)
+        closed = 0
+        for name in names:
+            closed = _close(closed, GENERATORS[name].position, uncovered,
+                            intro)
+            assert closed is not None, name
 
 
 covered_codes = st.sampled_from(COVERED_SETS).flatmap(

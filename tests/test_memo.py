@@ -14,7 +14,8 @@ from qcartan.calculus import act, basis_forms, check_d2, exterior_d
 from qcartan.cartan import apply_operator_word, check_cartan_tables, lie_apply
 from qcartan.cli import main, run_suite
 from qcartan.duality import _pair_letters, pair
-from qcartan.normalizer import multiply, normalize
+from qcartan import scalars
+from qcartan.normalizer import check_local_confluence, multiply, normalize
 from qcartan.parser import parse_element
 from qcartan.relations import (
     RelationTable,
@@ -242,3 +243,20 @@ def test_second_cartan_tables_run_adds_no_entries():
     assert report.results == run_suite("cartan-tables", 2, (1,), table)
     assert report.relations_checked == 78
     assert table.cache_info() == info
+
+
+def test_equal_memo_coefficients_are_one_object():
+    table = fresh_table()
+    assert check_local_confluence(table, 3).passed
+    coeffs = [c for form in table.normal_form_cache("leftmost").values()
+              for c in form.values()]
+    assert len(coeffs) > len(set(coeffs)) > 1
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def test_shared_monomials_keep_their_values(capsys):
+    assert main(["check", "all", "--max-degree", "2"]) == 0
+    capsys.readouterr()
+    assert len(scalars._MONOMIALS) > 4
+    for (h, c), s in scalars._MONOMIALS.items():
+        assert s._terms == {h: c} and s == QScalar({h: c}), (h, c)

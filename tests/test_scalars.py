@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qcartan.scalars import ONE, Q, Q_HALF, Q_INV, QScalar, parse_scalar
+from qcartan.scalars import (ONE, Q, Q_HALF, Q_INV, ZERO, QScalar, monomial,
+                             parse_scalar)
 
 
 def test_inverse_pair_multiplies_to_one():
@@ -177,3 +178,40 @@ def test_specializations_return_fractions():
     assert type(QScalar.rational(3).constant_value()) is Fraction
     assert type(QScalar.zero().constant_value()) is Fraction
     assert QScalar.rational(3).constant_value() == 3
+
+
+def test_monomials_are_shared():
+    assert Q * Q_INV is ONE
+    assert Q_HALF * Q_HALF is Q
+    assert QScalar.q_power(1) is Q
+    assert QScalar.rational(1) is ONE
+    assert -ONE is monomial(0, -1)
+    assert Q.inverse() is Q_INV
+    assert (Q + Q) - Q is Q
+    assert monomial(3, 0) is ZERO
+
+
+half_exponents = st.integers(min_value=-8, max_value=8)
+nonzero_rationals = st.fractions(min_value=-20, max_value=20,
+                                 max_denominator=6).filter(bool)
+
+
+@given(half_exponents, nonzero_rationals, half_exponents, nonzero_rationals)
+def test_shared_monomials_equal_the_unshared_reference(ha, ca, hb, cb):
+    a, b = monomial(ha, ca), monomial(hb, cb)
+    ref_a, ref_b = QScalar({ha: ca}), QScalar({hb: cb})
+    assert a is monomial(ha, Fraction(ca)) is QScalar.q_power(
+        Fraction(ha, 2), ca)
+    for shared, ref in ((a, ref_a), (a * b, QScalar({ha + hb: ca * cb})),
+                        (a * b, ref_a * ref_b), (-a, QScalar({ha: -ca})),
+                        (a.inverse(), QScalar({-ha: 1 / ca}))):
+        assert shared == ref and hash(shared) == hash(ref)
+        assert shared._terms == ref._terms and _stored_exactly(shared)
+    assert a * b is b * a is monomial(ha + hb, ca * cb)
+
+
+def test_non_monomial_products_are_fresh():
+    s = ONE + Q
+    assert s * Q is not s * Q
+    assert s * s is not s * s
+    assert (s * s)._terms == {0: 1, 2: 2, 4: 1}
