@@ -377,9 +377,10 @@ def _coverage(table):
 
 
 def _closure_masks(table):
-    """Per letter code a, the mask of letters b whose pair with a has no
-    rule, and {b: codes of the letters a rule for the pair a, b (either
-    order) introduces}: the data of :func:`_close` as letter masks."""
+    """The two tables :func:`_close` reads, indexed by letter code a:
+    uncovered[a], the mask of the letters b != a whose pair with a has no
+    rule (an inverse pair counts as covered), and intro[a], {b: codes of
+    the letters that the rule for a . b or b . a introduces}."""
     covered, introduces = _coverage(table)
     uncovered = [sum(1 << b.position for b in LETTERS if b is not a
                      and frozenset((a.name, b.name)) not in covered)

@@ -5,16 +5,18 @@ Each map stores its image of a basis word on the relation table it was
 computed with.  These tests pin the three properties that make that safe:
 the memoized value equals the map's definition, on a cold memo and a warm
 one; a table's memos never answer for another table; and re-running a
-suite on the same table adds no entries.
+suite on the same table adds no entries.  The last tests pin that equal
+coefficients in a memo are one shared monomial, and that sharing never
+changes a monomial's value.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from qcartan import scalars
 from qcartan.calculus import act, basis_forms, check_d2, exterior_d
 from qcartan.cartan import apply_operator_word, check_cartan_tables, lie_apply
 from qcartan.cli import main, run_suite
 from qcartan.duality import _pair_letters, pair
-from qcartan import scalars
 from qcartan.normalizer import check_local_confluence, multiply, normalize
 from qcartan.parser import parse_element
 from qcartan.relations import (
