@@ -35,7 +35,15 @@ word when the sorted form naming it is, and every other form sums
 those.  Stored normal forms are never mutated, so
 they are shared: a step to a single term with coefficient ONE stores its
 child's form object, and :func:`normalize` returns Elements keyed by the
-memo's own Word objects.
+memo's own Word objects.  A table's normal-form memo is a
+:class:`FormMemo`, which carries a share map of its forms: every empty
+form the walk stores is one dict, and so is every one-term form {W: c}
+of one value, looked up by id(c) and then W (:func:`_shared`).  Keying
+by id is safe because the map holds the form and the form holds c, and
+equal monomials are one object, so equal values meet.  The map lives on
+its memo, so it never outlives the forms it serves; the fresh caches of
+other strategies are plain dicts and share nothing.  Forms of two or
+more terms are stored as built.
 
 One walk, :func:`_walk`, does every reduction.  The leftmost walk first
 tries to sort each word (:func:`_sorted_form`): when every inverted
@@ -58,11 +66,14 @@ diamond lemma, and by induction on the rewrite measure it proves that
 every strategy, whatever positions it picks (so whatever its rng draws),
 reaches the leftmost form: a word in normal order is its own form, and
 otherwise a strategy's form of w sums its forms of the children of the
-position it picked, which are their leftmost forms.  Only when the
-sweep's walk stops (steps that disagree, a pair without a rule) does it
-reduce every word leftmost and then under each other strategy, each with
-a fresh cache, to name which diverges where, or to raise the
-MissingRuleError of the first reduction that meets the pair.
+position it picked, which are their leftmost forms.  The walk uses the
+sweep's word list as its stack and empties it, so each swept word's
+tuple is held once, as its memo key.  Only when the sweep's walk stops
+(steps that disagree, a pair without a rule) does it enumerate the words
+again, in the same order, and reduce every word leftmost and then under
+each other strategy, each with a fresh cache, to name which diverges
+where, or to raise the MissingRuleError of the first reduction that
+meets the pair.
 """
 
 from __future__ import annotations
@@ -142,7 +153,7 @@ def _pick_random(_codes, positions, rng):
     return rng.choice(positions)
 
 
-def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
+def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
     """Reduce every word reachable from `roots`; whether all steps agree.
 
     Iterative post-order over the rewrite dag: each unfinished word is
@@ -152,17 +163,25 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
     word's form is `forms`' entry if there is one, else the first step's
     c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or {Word(w): ONE} for a
     word w in normal order, stored under that same Word; it is stored in
-    `forms` and in `done`.  When `pick` is leftmost and the table has
-    `swaps`, each word is first sorted (:func:`_sorted_form`), and if
-    that succeeds, its sorted form is the form, without a step.
-    So every form is keyed by the Words of its normal words.  Every other
-    step must give that same form, or the walk returns False at once; the
-    forms stored by then stay.  A pair without a rule raises
-    MissingRuleError.
+    `forms` and in `done`.  When `forms` is a :class:`FormMemo`, a new
+    form with at most one term is replaced by the equal form stored
+    before, if there is one (:func:`_shared`).  When `pick` is leftmost
+    and the table has `swaps`, each word is first sorted
+    (:func:`_sorted_form`), and if that succeeds, its sorted form is the
+    form, without a step.  So every form is keyed by the Words of its
+    normal words.  Every other step must give that same form, or the walk
+    returns False at once; the forms stored by then stay.  A pair without
+    a rule raises MissingRuleError.
+
+    The caller hands `roots` over: the walk uses the list as its stack
+    and pops each root once it is finished, or at once if it already was,
+    so a root's tuple outlives the walk only as its own memo key.  A walk
+    that returns True leaves the list empty.
     """
     swaps = table.swaps if pick is _pick_leftmost else None
+    share = getattr(forms, "share", None)
     pending: dict[tuple, list] = {}
-    stack = list(roots)
+    stack = roots
     while stack:
         cur = stack[-1]
         if cur in done:
@@ -189,10 +208,10 @@ def _walk(roots, table, forms: dict, done: dict, pick, rng) -> bool:
         form = forms.get(cur)
         if form is None:
             if steps:
-                form = forms[cur] = _combine(steps[0], forms)
+                form = forms[cur] = _combine(steps[0], forms, share)
             else:
                 w = Word(cur)
-                form = forms[w] = {w: ONE}
+                form = forms[w] = _shared({w: ONE}, share)
         done[cur] = form
         for step in steps[1:]:
             other = _combine(step, forms)
@@ -243,18 +262,56 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     return cache[codes]
 
 
-def _combine(children, forms: dict) -> dict:
+def _combine(children, forms: dict, share=None) -> dict:
     """The form c1*F(w1) + c2*F(w2) + ... of one step to the children
     [(w1, c1), (w2, c2), ...], with each F(w) read from `forms` (KeyError
     if one is missing).  A single child with coefficient ONE gives its
-    form object itself."""
+    form object itself; a new form goes through :func:`_shared`."""
     if len(children) == 1 and children[0][1] is ONE:
         return forms[children[0][0]]
     form: dict[Word, QScalar] = {}
     for w, c in children:
         for nw, nc in forms[w].items():
             add_term(form, nw, nc if c is ONE else c * nc)
-    return form
+    return _shared(form, share)
+
+
+class FormMemo(dict):
+    """A normal-form memo {codes: form} with the share map of its forms.
+
+    `share` maps None to the memo's one empty form and id(c) to
+    {W: {W: c}}, the memo's one form for each one-term value (see
+    :func:`_shared`).  It lives on the memo, so it never outlives the
+    forms it serves and never holds another memo's Words.
+    """
+
+    __slots__ = ("share",)
+
+    def __init__(self):
+        super().__init__()
+        self.share: dict = {}
+
+
+def _shared(form: dict, share: dict | None) -> dict:
+    """The form stored in `share` equal to `form`, which has at most one
+    term, storing `form` there when there is none; `form` itself when it
+    has more terms or `share` is None.
+
+    One-term forms are looked up by the identity of their coefficient,
+    then by their Word.  Keying by id is safe because the map holds the
+    form and the form holds the coefficient, so the id is not reused
+    while the entry lives; and since equal monomials are one object
+    (:func:`~qcartan.scalars.monomial`), equal values meet.
+    """
+    if share is None or len(form) > 1:
+        return form
+    if not form:
+        return share.setdefault(None, form)
+    (w, c), = form.items()
+    by_word = share.get(id(c))
+    if by_word is None:
+        by_word = share[id(c)] = {}
+    return by_word.setdefault(w, form)
 
 
 def normalize(e: Element, table) -> Element:
@@ -272,7 +329,7 @@ def normalize(e: Element, table) -> Element:
     for w, c in e.terms():
         for nw, nc in _normal_form(w, table, cache, _pick_leftmost,
                                    None).items():
-            add_term(terms, nw, c * nc)
+            add_term(terms, nw, nc if c is ONE else c * nc)
     return Element._raw(terms)
 
 
@@ -472,7 +529,7 @@ def _sweep_words(table, max_len: int):
     return words, skipped
 
 
-def _closure_resolves(words, table, memo: dict) -> bool:
+def _closure_resolves(words: list, table, memo: dict) -> bool:
     """Whether every one-step reduct of every word reachable from `words`
     resolves to the word's leftmost form; fills `memo` with those forms.
 
@@ -480,8 +537,10 @@ def _closure_resolves(words, table, memo: dict) -> bool:
     leftmost first, so each form it stores is the one :func:`_normal_form`
     would store.  Its finished words are a fresh dict, not the memo: an
     entry from an earlier :func:`normalize` is trusted as the word's form,
-    but the word's other steps are still checked against it.  A pair
-    without a rule gives False, never raising.
+    but the word's other steps are still checked against it.  The walk
+    consumes `words` as its stack (:func:`_walk`), so a caller that needs
+    the words afterwards passes a copy.  A pair without a rule gives
+    False, never raising.
     """
     try:
         return _walk(words, table, memo, {}, None, None)
@@ -494,15 +553,11 @@ def _divergences(table, words, alternatives) -> tuple:
     form under one of the `alternatives` (name, pick, rng) differs from
     its leftmost form.
 
-    When :func:`_closure_resolves` holds, every strategy reaches the
-    leftmost form, so there is nothing to compare.  Otherwise leftmost and
-    then each alternative, on a fresh cache, reduce every word, and a pair
-    without a rule raises MissingRuleError from the first reduction that
-    meets it.
+    Leftmost, through the table's memo, and then each alternative, on a
+    fresh cache, reduce every word; a pair without a rule raises
+    MissingRuleError from the first reduction that meets it.
     """
     cache = table.normal_form_cache("leftmost")
-    if _closure_resolves(words, table, cache):
-        return ()
     # Normal forms are compared as the memo dicts themselves: stored forms
     # are never mutated, so no copy is needed.
     reference = [_normal_form(w, table, cache, _pick_leftmost, None)
@@ -525,10 +580,13 @@ def check_local_confluence(
     The walk of :func:`_closure_resolves` stores each word's leftmost form
     in the table's leftmost memo and checks that every one-step reduct
     agrees with it, which proves that every strategy reaches that form.
-    Only when it fails is every word reduced leftmost, and then under
-    rightmost and each seeded random strategy, each with a fresh cache and
-    its own `random.Random(seed)`; every word where one differs from
-    leftmost is reported as a divergence.
+    The walk consumes the enumerated list, so each word's tuple is held
+    once, as its memo key.  Only when the walk fails are the words
+    enumerated again (the enumeration is deterministic, so they come in
+    the same order) and reduced leftmost, and then under rightmost and
+    each seeded random strategy, each with a fresh cache and its own
+    `random.Random(seed)`; every word where one differs from leftmost is
+    reported as a divergence (:func:`_divergences`).
 
     Words whose letter closure hits a pair without a rule are skipped
     (they cannot be normalized at all).  The sweep grows about 15-fold per
@@ -545,10 +603,17 @@ def check_local_confluence(
         for seed in seeds
     ]
     words, skipped = _sweep_words(table, max_len)
+    checked = len(words)
+    if _closure_resolves(words, table, table.normal_form_cache("leftmost")):
+        divergences = ()
+    else:
+        # the walk consumed the list; the enumeration gives the same words
+        words, _ = _sweep_words(table, max_len)
+        divergences = _divergences(table, words, alternatives)
     return ConfluenceReport(
         max_len=max_len,
         strategies=("leftmost", *(s for s, _, _ in alternatives)),
-        words_checked=len(words),
+        words_checked=checked,
         words_skipped=skipped,
-        divergences=_divergences(table, words, alternatives),
+        divergences=divergences,
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib.resources import files
 
-from .normalizer import _positions
+from .normalizer import FormMemo, _positions
 from .parser import ParseError, parse_element
 from .scalars import ONE, monomial
 from .words import (
@@ -157,8 +157,14 @@ class RelationTable:
         """
         return self._caches.setdefault(name, {})
 
-    def normal_form_cache(self, strategy: str) -> dict:
-        return self.memo(f"normal_form.{strategy}")
+    def normal_form_cache(self, strategy: str) -> FormMemo:
+        """The normal-form memo of the strategy, a :class:`FormMemo`, so
+        its one-term forms share one dict per value."""
+        name = f"normal_form.{strategy}"
+        memo = self._caches.get(name)
+        if memo is None:
+            memo = self._caches[name] = FormMemo()
+        return memo
 
     def cache_info(self) -> dict[str, int]:
         """{memo name: entry count} for every memo created so far."""

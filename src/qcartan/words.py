@@ -467,7 +467,7 @@ def linear_image(f: Element, memo: dict, image, tag=None, scale=None,
         if scale is not None:
             c = scale * c
         for iw, ic in img.terms():
-            add_term(terms, iw, c * ic)
+            add_term(terms, iw, ic if c is ONE else c * ic)
     return wrap(terms)
 
 
@@ -481,5 +481,5 @@ def concat(a: Element, b: Element) -> Element:
         for wb, cb in b.terms():
             codes = canonical_codes(wa + wb)
             if codes is not None:
-                add_term(terms, Word(codes), ca * cb)
+                add_term(terms, Word(codes), cb if ca is ONE else ca * cb)
     return Element._raw(terms)

@@ -7,7 +7,9 @@ the memoized value equals the map's definition, on a cold memo and a warm
 one; a table's memos never answer for another table; and re-running a
 suite on the same table adds no entries.  The last tests pin that equal
 coefficients in a memo are one shared monomial, and that sharing never
-changes a monomial's value.
+changes a monomial's value; that equal forms of at most one term in the
+normal-form memo are one dict; and that the sweep's walk consumes the
+list of words it is handed, storing the same forms as a walk on a copy.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,13 @@ from qcartan.calculus import act, basis_forms, check_d2, exterior_d
 from qcartan.cartan import apply_operator_word, check_cartan_tables, lie_apply
 from qcartan.cli import main, run_suite
 from qcartan.duality import _pair_letters, pair
-from qcartan.normalizer import check_local_confluence, multiply, normalize
+from qcartan.normalizer import (
+    _closure_resolves,
+    _sweep_words,
+    check_local_confluence,
+    multiply,
+    normalize,
+)
 from qcartan.parser import parse_element
 from qcartan.relations import (
     RelationTable,
@@ -254,6 +262,30 @@ def test_equal_memo_coefficients_are_one_object():
               for c in form.values()]
     assert len(coeffs) > len(set(coeffs)) > 1
     assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def test_equal_small_memo_forms_are_one_dict():
+    table = fresh_table()
+    assert check_local_confluence(table, 3).passed
+    small = [form for form in table.normal_form_cache("leftmost").values()
+             if len(form) <= 1]
+    values = {frozenset(form.items()) for form in small}
+    assert len(small) > len(values) > 1
+    assert frozenset() in values
+    assert len({id(form) for form in small}) == len(values)
+
+
+def test_sweep_walk_consumes_its_roots():
+    words, _ = _sweep_words(builtin_presentation(), 3)
+    copy = list(words)
+    table, other = fresh_table(), fresh_table()
+    memo = table.normal_form_cache("leftmost")
+    assert _closure_resolves(words, table, memo)
+    assert words == []
+    expected = other.normal_form_cache("leftmost")
+    assert _closure_resolves(list(copy), other, expected)
+    assert memo == expected
+    assert all(w in memo for w in copy)
 
 
 def test_shared_monomials_keep_their_values(capsys):
