@@ -43,6 +43,7 @@ from .words import (
     Element,
     GENERATORS,
     LETTERS,
+    NON_FORM_SECTORS,
     Sector,
     OPERATOR_SECTORS,
     Word,
@@ -60,7 +61,7 @@ _OMEGAS = ("wx", "wy", "wz")
 def require_function_form(e: Element, allow_omega: bool = True) -> Element:
     """Reject elements outside the function/form subalgebra."""
     for sector in e.sectors():
-        if sector in OPERATOR_SECTORS or sector is Sector.GROUPLIKE:
+        if sector in NON_FORM_SECTORS:
             raise ValueError(
                 f"not a function/form: contains a {sector.name} letter"
             )
@@ -278,6 +279,13 @@ def check_leibniz(max_degree: int, table) -> CheckReport:
     return CheckReport("graded Leibniz rule", tuple(results))
 
 
+def _through_frame(frame, target: Element, table) -> Element:
+    """d target read through a frame: the sum of form . (op target) over
+    its (form, op) pairs, such as (dx, px) or (wx, Tx)."""
+    return sum((multiply(form, act(op, target, table), table)
+                for form, op in frame), Element.zero())
+
+
 def check_d_expansion(f: Element | None, max_degree: int, table) -> CheckReport:
     """d f = dx (px f) + dy (py f) + dz (pz f), re-derived term by term.
 
@@ -299,9 +307,7 @@ def check_d_expansion(f: Element | None, max_degree: int, table) -> CheckReport:
     ]
     for name, target in targets:
         left = exterior_d(target, table)
-        right = Element.zero()
-        for d_a, p_a in partials:
-            right = right + multiply(d_a, act(p_a, target, table), table)
+        right = _through_frame(partials, target, table)
         ok = left == right
         results.append(CheckResult(
             f"d-expansion {name}", ok,
@@ -387,14 +393,11 @@ def check_t_realization(max_degree: int, table) -> CheckReport:
                 f"{table_id} {rule.left.name}*{rule.right.name}", ok,
                 "" if ok else f"realized sides differ: {lhs} != {rhs}"))
     # d f decomposed through the one-forms and the T action
-    ts = [Element.from_letter("T" + a) for a in ("x", "y", "z")]
-    ws = [omega_images()[w] for w in _OMEGAS]
+    frame = [(omega_images()[w], Element.from_letter("T" + w[1]))
+             for w in _OMEGAS]
     for mono in coordinate_monomials(max_degree):
         target = Element.from_word(mono)
-        left = exterior_d(target, table)
-        right = Element.zero()
-        for w_img, t in zip(ws, ts):
-            right = right + multiply(w_img, act(t, target, table), table)
-        results.append(CheckResult.compare(f"d = omega.T on {mono}",
-                                           left, right))
+        results.append(CheckResult.compare(
+            f"d = omega.T on {mono}", exterior_d(target, table),
+            _through_frame(frame, target, table)))
     return CheckReport("Lie generator realization", tuple(results))

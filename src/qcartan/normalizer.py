@@ -32,18 +32,19 @@ Words or plain tuples alike, since both hash and compare as the tuple in
 C.  Every normal form {Word: coeff} is keyed by Words: a word in normal
 order is wrapped when its own form {Word(w): ONE} is stored, a sorted
 word when the sorted form naming it is, and every other form sums
-those.  Stored normal forms are never mutated, so
-they are shared: a step to a single term with coefficient ONE stores its
-child's form object, and :func:`normalize` returns Elements keyed by the
-memo's own Word objects.  A table's normal-form memo is a
-:class:`FormMemo`, which carries a share map of its forms: every empty
-form the walk stores is one dict, and so is every one-term form {W: c}
-of one value, looked up by id(c) and then W (:func:`_shared`).  Keying
-by id is safe because the map holds the form and the form holds c, and
-equal monomials are one object, so equal values meet.  The map lives on
-its memo, so it never outlives the forms it serves; the fresh caches of
-other strategies are plain dicts and share nothing.  Forms of two or
-more terms are stored as built.
+those.  Stored normal forms are never mutated, so they are shared: a
+step to a single term with coefficient ONE stores its child's form
+object, and :func:`normalize` returns Elements keyed by the memo's own
+Word objects.  A table's normal-form memo is a :class:`FormMemo`, which
+carries a share map of its forms.  The walk stores every new form at one
+site, through the map (:func:`_shared`): every empty form is one dict,
+and so is every one-term form {W: c} of one value, looked up by id(c)
+and then W, whether it was summed, sorted or a normal word's own.
+Keying by id is safe because the map holds the form and the form holds
+c, and equal monomials are one object, so equal values meet.  The map
+lives on its memo, so it never outlives the forms it serves; the fresh
+caches of other strategies are plain dicts and share nothing.  Forms of
+two or more terms are stored as built.
 
 One walk, :func:`_walk`, does every reduction.  The leftmost walk first
 tries to sort each word (:func:`_sorted_form`): when every inverted
@@ -73,7 +74,8 @@ tuple is held once, as its memo key.  Only when the sweep's walk stops
 again, in the same order, and reduce every word leftmost and then under
 each other strategy, each with a fresh cache, to name which diverges
 where, or to raise the MissingRuleError of the first reduction that
-meets the pair.
+meets the pair.  The sweep reads its letters and their coverage from
+the compiled rules alone (:func:`_closure_masks`).
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ from dataclasses import dataclass
 
 from .report import CheckResult
 from .scalars import ONE, QScalar, monomial
-from .words import (_INVERSE, _NO_SEAM, _SEAM, GENERATORS, LETTERS, Element,
-                    Word, add_term, canonical_codes, concat)
+from .words import (_INVERSE, _NO_SEAM, _SEAM, LETTERS, Element, Word,
+                    add_term, canonical_codes, concat)
 
 
 class MissingRuleError(Exception):
@@ -159,19 +161,20 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
     Iterative post-order over the rewrite dag: each unfinished word is
     rewritten once at `pick(word, positions, rng)`, or at every
     out-of-order position when `pick` is None, and waits in the pending
-    map until the children of all its steps are in `done`.  A finished
-    word's form is `forms`' entry if there is one, else the first step's
+    map until the children of all its steps are in `done`.  When `pick`
+    is leftmost and the table has `swaps`, each word is first sorted
+    (:func:`_sorted_form`), and if that succeeds, the word is finished
+    without a step.  A finished word's form is `forms`' entry if there is
+    one.  Else its new form is the sorted form, or the first step's
     c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or {Word(w): ONE} for a
-    word w in normal order, stored under that same Word; it is stored in
-    `forms` and in `done`.  When `forms` is a :class:`FormMemo`, a new
-    form with at most one term is replaced by the equal form stored
-    before, if there is one (:func:`_shared`).  When `pick` is leftmost
-    and the table has `swaps`, each word is first sorted
-    (:func:`_sorted_form`), and if that succeeds, its sorted form is the
-    form, without a step.  So every form is keyed by the Words of its
-    normal words.  Every other step must give that same form, or the walk
-    returns False at once; the forms stored by then stay.  A pair without
-    a rule raises MissingRuleError.
+    word w in normal order, which is then finished under that same Word.
+    The one store site puts the new form through :func:`_shared` (so a
+    form of at most one term in a :class:`FormMemo` is the equal form
+    stored before, if there is one) and stores it in `forms` and in
+    `done`.  So every form is keyed by the Words of its normal words.
+    Every other step must give that same form, or the walk returns False
+    at once; the forms stored by then stay.  A sorted word has no other
+    steps.  A pair without a rule raises MissingRuleError.
 
     The caller hands `roots` over: the walk uses the list as its stack
     and pops each root once it is finished, or at once if it already was,
@@ -188,30 +191,33 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
             stack.pop()
             continue
         steps = pending.pop(cur, None)
+        sort = None
         if steps is None:
             if swaps is not None:
-                form = _sorted_form(cur, swaps)
-                if form is not None:
-                    stack.pop()
-                    forms[cur] = done[cur] = form
+                sort = _sorted_form(cur, swaps)
+            if sort is not None:
+                steps = ()
+            else:
+                positions = _positions(cur)
+                if pick is not None and positions:
+                    positions = [pick(cur, positions, rng)]
+                steps = [_rewrite_at(cur, i, table) for i in positions]
+                todo = [w for step in steps for w, _ in step if w not in done]
+                if todo:
+                    pending[cur] = steps
+                    stack.extend(todo)
                     continue
-            positions = _positions(cur)
-            if pick is not None and positions:
-                positions = [pick(cur, positions, rng)]
-            steps = [_rewrite_at(cur, i, table) for i in positions]
-            todo = [w for step in steps for w, _ in step if w not in done]
-            if todo:
-                pending[cur] = steps
-                stack.extend(todo)
-                continue
         stack.pop()
         form = forms.get(cur)
         if form is None:
-            if steps:
-                form = forms[cur] = _combine(steps[0], forms, share)
+            if sort is not None:
+                form = sort
+            elif steps:
+                form = _combine(steps[0], forms)
             else:
-                w = Word(cur)
-                form = forms[w] = _shared({w: ONE}, share)
+                cur = Word(cur)
+                form = {cur: ONE}
+            form = forms[cur] = _shared(form, share)
         done[cur] = form
         for step in steps[1:]:
             other = _combine(step, forms)
@@ -262,27 +268,27 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     return cache[codes]
 
 
-def _combine(children, forms: dict, share=None) -> dict:
+def _combine(children, forms: dict) -> dict:
     """The form c1*F(w1) + c2*F(w2) + ... of one step to the children
     [(w1, c1), (w2, c2), ...], with each F(w) read from `forms` (KeyError
     if one is missing).  A single child with coefficient ONE gives its
-    form object itself; a new form goes through :func:`_shared`."""
+    form object itself; :func:`_walk` shares a new form as it stores it."""
     if len(children) == 1 and children[0][1] is ONE:
         return forms[children[0][0]]
     form: dict[Word, QScalar] = {}
     for w, c in children:
         for nw, nc in forms[w].items():
             add_term(form, nw, nc if c is ONE else c * nc)
-    return _shared(form, share)
+    return form
 
 
 class FormMemo(dict):
     """A normal-form memo {codes: form} with the share map of its forms.
 
     `share` maps None to the memo's one empty form and id(c) to
-    {W: {W: c}}, the memo's one form for each one-term value (see
-    :func:`_shared`).  It lives on the memo, so it never outlives the
-    forms it serves and never holds another memo's Words.
+    {W: {W: c}}, the memo's one form for each one-term value, sorted forms
+    included (see :func:`_shared`).  It lives on the memo, so it never
+    outlives the forms it serves and never holds another memo's Words.
     """
 
     __slots__ = ("share",)
@@ -295,7 +301,8 @@ class FormMemo(dict):
 def _shared(form: dict, share: dict | None) -> dict:
     """The form stored in `share` equal to `form`, which has at most one
     term, storing `form` there when there is none; `form` itself when it
-    has more terms or `share` is None.
+    has more terms or `share` is None.  :func:`_walk` stores every new
+    form through it.
 
     One-term forms are looked up by the identity of their coefficient,
     then by their Word.  Keying by id is safe because the map holds the
@@ -414,41 +421,23 @@ class ConfluenceReport:
         return "\n".join(lines)
 
 
-def _coverage(table):
-    """Unordered letter-pair coverage and per-pair introduced letters."""
-    covered = set()
-    introduces = {}
-    for rule in table.rules:
-        u, v = rule.left, rule.right
-        covered.add(frozenset((u.name, v.name)))
-        extra = set()
-        for w in rule.rhs._terms:
-            for let in w.letters():
-                if let.name not in (u.name, v.name):
-                    extra.add(let.name)
-        introduces[(u.name, v.name)] = extra
-    # merging handles the inverse pairs structurally
-    covered.update(frozenset((g.name, g.inverse_name))
-                   for g in LETTERS if g.inverse_name)
-    return covered, introduces
-
-
 def _closure_masks(table):
-    """The two tables :func:`_close` reads, indexed by letter code a:
-    uncovered[a], the mask of the letters b != a whose pair with a has no
-    rule (an inverse pair counts as covered), and intro[a], {b: codes of
-    the letters that the rule for a . b or b . a introduces}."""
-    covered, introduces = _coverage(table)
-    uncovered = [sum(1 << b.position for b in LETTERS if b is not a
-                     and frozenset((a.name, b.name)) not in covered)
-                 for a in LETTERS]
+    """The two tables :func:`_close` reads, indexed by letter code a, from
+    one pass over `table.compiled`: uncovered[a], the mask of the letters
+    b != a whose pair with a has no rule either way (an x/xinv or K/Kinv
+    pair cancels, so it counts as covered), and intro[a], {b: codes other
+    than a and b in the terms of the rule for a . b or b . a}."""
+    covered = [1 << a | (1 << b if b >= 0 else 0)
+               for a, b in enumerate(_INVERSE)]
     intro: list[dict[int, list]] = [{} for _ in LETTERS]
-    for (u, v), extra in introduces.items():
-        a, b = GENERATORS[u].position, GENERATORS[v].position
-        codes = [GENERATORS[n].position for n in extra]
-        intro[a].setdefault(b, []).extend(codes)
-        intro[b].setdefault(a, []).extend(codes)
-    return uncovered, intro
+    for (a, b), rhs in table.compiled.items():
+        covered[a] |= 1 << b
+        covered[b] |= 1 << a
+        extra = {c for w, _ in rhs for c in w} - {a, b}
+        intro[a].setdefault(b, []).extend(extra)
+        intro[b].setdefault(a, []).extend(extra)
+    every = (1 << len(LETTERS)) - 1
+    return [every & ~m for m in covered], intro
 
 
 def _close(closed: int, code: int, uncovered, intro) -> int | None:
@@ -479,6 +468,8 @@ def _sweep_words(table, max_len: int):
     sequences skipped because their letter closure hits a pair without a
     rule.
 
+    The letters are those of the keys of `table.compiled`, in name order,
+    which fixes the order of the words, the walk and the divergences.
     Words are enumerated as letter-code sequences of length <= max_len,
     prefiltered by pairwise rule coverage (with introduced-letter closure).
     Each prefix carries the closure of its letters as a bitmask of letter
@@ -488,9 +479,8 @@ def _sweep_words(table, max_len: int):
     prefix's by one letter, which cancels or vanishes against the
     prefix's last.
     """
-    names = {r.left.name for r in table.rules} | {
-        r.right.name for r in table.rules}
-    letters = [GENERATORS[name].position for name in sorted(names)]
+    letters = sorted({c for pair in table.compiled for c in pair},
+                     key=lambda c: LETTERS[c].name)
     uncovered, intro = _closure_masks(table)
     closures: dict[int, int | None] = {}
     subtree = [1] * (max_len + 1)  # sequences rooted at depth d, incl. the root

@@ -38,17 +38,14 @@ from .words import (
     _INVERSE,
     GENERATORS,
     LETTERS,
+    NON_FORM_SECTORS,
     Element,
     Generator,
-    Sector,
     Word,
     canonical_codes,
     generator,
     make_word,
 )
-
-_OP_SECTORS = (Sector.PARTIAL, Sector.LIE, Sector.GROUPLIKE,
-               Sector.INNER, Sector.LIEDERIV)
 
 
 class RelationError(ValueError):
@@ -80,7 +77,8 @@ class Rule:
         return f"{self.left.name} . {self.right.name} -> {_format_element(self.rhs)}"
 
 
-_OP_CODES = frozenset(g.position for g in LETTERS if g.sector in _OP_SECTORS)
+_OP_CODES = frozenset(g.position for g in LETTERS
+                      if g.sector in NON_FORM_SECTORS)
 
 
 def _op_count(word: Word) -> int:

@@ -50,6 +50,8 @@ class Sector(IntEnum):
 OPERATOR_SECTORS = frozenset(
     (Sector.PARTIAL, Sector.LIE, Sector.INNER, Sector.LIEDERIV)
 )
+# Sectors outside the function/form subalgebra: all but FORM and COORD.
+NON_FORM_SECTORS = frozenset(Sector) - {Sector.FORM, Sector.COORD}
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: generators are singletons

@@ -17,7 +17,6 @@ from qcartan.normalizer import (
     _close,
     _closure_masks,
     _closure_resolves,
-    _coverage,
     _divergences,
     _normal_form,
     _pick_leftmost,
@@ -58,6 +57,20 @@ SWEEP_STRATEGIES = [
     (_pick_leftmost, lambda: None),
     (_pick_rightmost, lambda: None),
 ] + [(_pick_random, lambda s=s: random.Random(s)) for s in (1, 2, 3, 4, 5)]
+
+
+def _coverage(table):
+    """Unordered letter-pair coverage and per-pair introduced letters, by
+    letter name, read from the table's rules."""
+    covered = {frozenset((g.name, g.inverse_name))
+               for g in GENERATORS.values() if g.inverse_name}
+    introduces = {}
+    for rule in table.rules:
+        u, v = rule.left.name, rule.right.name
+        covered.add(frozenset((u, v)))
+        introduces[(u, v)] = {let.name for w, _ in rule.rhs.terms()
+                              for let in w.letters()} - {u, v}
+    return covered, introduces
 
 
 def _closure_ok(names, covered, introduces):
@@ -237,13 +250,25 @@ def _reference_sweep_words(table, max_len):
     return words, skipped
 
 
+# A user table over px, x, xinv and y.  Its px . y rule introduces z, which
+# has no rules, so every sequence holding both px and y is skipped; x and
+# xinv have no rule and are covered as an inverse pair.
+SMALL_TABLE = """
+px . x -> (1) + x . px
+px . y -> y . px + z
+y . xinv -> (q) x^-1 . y
+y . x -> (q^-1) x . y
+"""
+
+
 def test_sweep_words_match_the_reference_enumeration():
     builtin = builtin_presentation()
     x_dy = builtin.rule("x", "dy")
     no_x_dy = RelationTable(r for r in builtin.rules if r is not x_dy)
+    small = load_presentation(SMALL_TABLE)
     skipped = {}
     for name, table in (("builtin", builtin), ("bad", _BAD_TABLE),
-                        ("no x.dy", no_x_dy)):
+                        ("no x.dy", no_x_dy), ("small", small)):
         for max_len in (3, 4):
             words, n = _sweep_words(table, max_len)
             assert (words, n) == _reference_sweep_words(table, max_len)
@@ -251,6 +276,12 @@ def test_sweep_words_match_the_reference_enumeration():
     # without the rule, sequences holding both x and dy are skipped too
     assert skipped["bad", 4] == skipped["builtin", 4] == 259016
     assert skipped["no x.dy", 4] > skipped["builtin", 4]
+    # x meets xinv through the inverse pair; px never meets y
+    words, _ = _sweep_words(small, 3)
+    assert _codes("xinv", "y", "x") in words
+    px_y = set(_codes("y", "px"))
+    assert skipped["small", 3] > 0
+    assert not any(px_y <= set(w) for w in words)
 
 
 def _exact_sweep(table, max_len, seeds):

@@ -8,7 +8,7 @@ one; a table's memos never answer for another table; and re-running a
 suite on the same table adds no entries.  The last tests pin that equal
 coefficients in a memo are one shared monomial, and that sharing never
 changes a monomial's value; that equal forms of at most one term in the
-normal-form memo are one dict; and that the sweep's walk consumes the
+normal-form memo are one dict, sorted forms included; and that the sweep's walk consumes the
 list of words it is handed, storing the same forms as a walk on a copy.
 """
 
@@ -272,6 +272,18 @@ def test_equal_small_memo_forms_are_one_dict():
     values = {frozenset(form.items()) for form in small}
     assert len(small) > len(values) > 1
     assert frozenset() in values
+    assert len({id(form) for form in small}) == len(values)
+
+
+def test_sorted_memo_forms_are_shared():
+    """normalize sorts most of these words; their forms go through the
+    share map like every other form the walk stores."""
+    table = fresh_table()
+    normalize(parse_element("(x+y+z)^4 + (dy+y+x)^3*(px+z)"), table)
+    small = [form for form in table.normal_form_cache("leftmost").values()
+             if len(form) <= 1]
+    values = {frozenset(form.items()) for form in small}
+    assert len(small) > len(values) > 1
     assert len({id(form) for form in small}) == len(values)
 
 
