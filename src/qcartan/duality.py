@@ -29,14 +29,13 @@ the relation table's "pair" memo.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .scalars import ONE, QScalar
 from .words import Element, Sector, Word, add_term, concat, make_word
 from .normalizer import multiply, normalize, commutator
-from .report import CheckReport, CheckResult
+from .report import CheckReport, CheckResult, Record
 from .hopf import (HopfPresentation, _letter_products, antipode, coproduct,
                    tensor)
 
@@ -47,17 +46,16 @@ EPS_CONVENTION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Basis element x^k y^l z^m of the coordinate algebra."""
+class Monomial(Record):
+    """Basis element x^k y^l z^m of the coordinate algebra: an immutable
+    :class:`Record`, equal by value, whose exponents are not negative."""
 
-    k: int
-    l: int
-    m: int
+    __slots__ = ("k", "l", "m")
 
-    def __post_init__(self):
-        if self.k < 0 or self.l < 0 or self.m < 0:
+    def __init__(self, k: int, l: int, m: int):
+        if k < 0 or l < 0 or m < 0:
             raise ValueError("monomial exponents must be non-negative")
+        self._fill(k, l, m)
 
     def element(self) -> Element:
         return Element.from_word(

@@ -18,14 +18,13 @@ multiply with :func:`~qcartan.normalizer.multiply`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 
 from .scalars import ONE, QScalar
 from .words import (EMPTY_WORD, GENERATORS, Element, Word, add_term,
                     canonical_codes, concat, linear_image)
 from .normalizer import multiply, normalize
-from .report import CheckReport, CheckResult
+from .report import CheckReport, CheckResult, Record
 
 
 class TensorElement:
@@ -156,21 +155,23 @@ def map_slot(t: TensorElement, slot: int, fn) -> TensorElement:
     return TensorElement._raw(arity, out)
 
 
-@dataclass(frozen=True, eq=False)
-class HopfPresentation:
+class HopfPresentation(Record):
     """Generator images of coproduct, counit and antipode for one algebra.
 
     Maps are keyed by signed letter name; the extension is multiplicative
     for the coproduct and counit and anti-multiplicative for the antipode.
-    Equality and hashing are by identity: memoized coproducts are stored
-    under the presentation object, not under its name.
+    An immutable :class:`Record` whose equality and hashing are by
+    identity: memoized coproducts are stored under the presentation
+    object, not under its name.
     """
 
-    name: str
-    letters: tuple[str, ...]
-    delta: dict
-    eps: dict
-    antipode_map: dict
+    __slots__ = ("name", "letters", "delta", "eps", "antipode_map")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, letters: tuple[str, ...], delta: dict,
+                 eps: dict, antipode_map: dict):
+        self._fill(name, letters, delta, eps, antipode_map)
 
     def names(self, word: Word) -> list[str]:
         """The signed letter names of a word, one per unit power; raises

@@ -81,9 +81,8 @@ the compiled rules alone (:func:`_closure_masks`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .report import CheckResult
+from .report import CheckResult, Record
 from .scalars import ONE, QScalar, monomial
 from .words import (_INVERSE, _NO_SEAM, _SEAM, LETTERS, Element, Word,
                     add_term, canonical_codes, concat)
@@ -349,11 +348,14 @@ def commutator(a: Element, b: Element, table) -> Element:
     return multiply(a, b, table) - multiply(b, a, table)
 
 
-@dataclass(frozen=True)
-class NormalizationReport:
-    input: Element
-    output: Element
-    steps: int
+class NormalizationReport(Record):
+    """An input, its leftmost normal form and the number of rule
+    applications between them; an immutable :class:`Record`."""
+
+    __slots__ = ("input", "output", "steps")
+
+    def __init__(self, input: Element, output: Element, steps: int):
+        self._fill(input, output, steps)
 
     def __str__(self):
         return f"{self.input}  ~>  {self.output}   [{self.steps} steps]"
@@ -382,13 +384,20 @@ def normalize_report(e: Element, table) -> NormalizationReport:
 # local confluence sweep
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    max_len: int
-    strategies: tuple[str, ...]
-    words_checked: int
-    words_skipped: int
-    divergences: tuple = ()
+class ConfluenceReport(Record):
+    """The verdict of a confluence sweep, an immutable :class:`Record`:
+    the words checked and the letter sequences skipped up to max_len, and
+    each divergence as (word, form under one strategy, form under
+    another)."""
+
+    __slots__ = ("max_len", "strategies", "words_checked", "words_skipped",
+                 "divergences")
+
+    def __init__(self, max_len: int, strategies: tuple[str, ...],
+                 words_checked: int, words_skipped: int,
+                 divergences: tuple = ()):
+        self._fill(max_len, strategies, words_checked, words_skipped,
+                   divergences)
 
     @property
     def passed(self) -> bool:

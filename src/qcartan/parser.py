@@ -91,31 +91,39 @@ ALIASES = _aliases()
 
 # --- tokenizer -------------------------------------------------------------
 
+# One group per token kind, in the order of _KINDS; whitespace matches no
+# group, so the scan skips it.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:/\d+)?)
-      | (?P<name>[A-Za-z∂ω][A-Za-z0-9_]*(?:⁻¹)?)
-      | (?P<op>[-+*.^()])
+    r"""(\d+(?:/\d+)?)
+      | ([A-Za-z∂ω][A-Za-z0-9_]*(?:⁻¹)?)
+      | ([-+*.^()])
+      | (\S)
     """,
     re.VERBOSE,
 )
+_KINDS = (None, "number", "name", "op", "bad")
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    """(kind, text, position) per token, then ("end", "", len(text)).
+
+    One scan of the pattern; the first character no token starts with
+    is an error.
+    """
+    tokens = [(_KINDS[m.lastindex], m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-def _fraction(value: str, pos: int) -> Fraction:
+def _fraction(value: str, pos: int) -> int | Fraction:
+    """The exact rational a number token spells: an int unless it has a
+    '/'."""
+    if "/" not in value:
+        return int(value)
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -125,7 +133,7 @@ def _fraction(value: str, pos: int) -> Fraction:
 class _Parser:
     """Recursive descent that evaluates as it reads.
 
-    Each grammar method returns a tagged value: ("num", Fraction),
+    Each grammar method returns a tagged value: ("num", int or Fraction),
     ("q", halves) for q**(halves/2), ("letter", name) or ("elem",
     Element).  A bare number, q power or letter keeps its tag through
     parentheses, so that `^` can treat it exactly: a letter power is one
@@ -218,7 +226,8 @@ class _Parser:
         if tag == "num":
             if base == 0 and n < 0:
                 raise ParseError(f"0 to the power {n} is not defined", pos)
-            return "elem", Element.scalar(QScalar.rational(base ** n))
+            power = Fraction(base) ** n  # an int base would give a float
+            return "elem", Element.scalar(QScalar.rational(power))
         if n < 0:
             raise ValueError("negative powers are only defined for x and K")
         # repeated squaring (concat is associative): O(log n) products, so
@@ -276,16 +285,16 @@ def _letter(name: str) -> Element:
 def _product(a: Element, b: Element) -> Element:
     """concat(a, b), refused when it would pair up more than
     MAX_EXPANSION terms or write more than MAX_EXPANSION_LETTERS letters."""
-    if len(a) * len(b) > MAX_EXPANSION:
+    na, nb = len(a._terms), len(b._terms)
+    if na * nb > MAX_EXPANSION:
         raise ValueError(
-            f"expanding a product of {len(a)} and {len(b)} terms exceeds "
+            f"expanding a product of {na} and {nb} terms exceeds "
             f"the limit of {MAX_EXPANSION} terms"
         )
-    letters = (len(b) * sum(len(w) for w, _ in a.terms())
-               + len(a) * sum(len(w) for w, _ in b.terms()))
+    letters = nb * sum(map(len, a._terms)) + na * sum(map(len, b._terms))
     if letters > MAX_EXPANSION_LETTERS:
         raise ValueError(
-            f"expanding a product of {len(a)} and {len(b)} terms writes "
+            f"expanding a product of {na} and {nb} terms writes "
             f"{letters} letters, over the limit of {MAX_EXPANSION_LETTERS}"
         )
     return concat(a, b)

@@ -27,12 +27,12 @@ factors `name^exp`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from importlib.resources import files
 
 from .normalizer import FormMemo, _positions
 from .parser import ParseError, parse_element
+from .report import Record
 from .scalars import ONE, monomial
 from .words import (
     _INVERSE,
@@ -58,15 +58,20 @@ class RelationError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Rule:
-    left: Generator
-    right: Generator
-    rhs: Element
-    table_id: str
-    origin: str  # "paper" | "derived" | "user"
-    # the line of the relation file the rule came from; not part of identity
-    line: int | None = field(default=None, compare=False)
+class Rule(Record):
+    """One rewrite rule left . right -> rhs, an immutable :class:`Record`.
+
+    origin is "paper", "derived" or "user".  line is the line of the
+    relation file the rule came from; equality and hashing leave it out,
+    so the same rule loaded from two files is one rule.
+    """
+
+    __slots__ = ("left", "right", "rhs", "table_id", "origin", "line")
+    _compare = ("left", "right", "rhs", "table_id", "origin")
+
+    def __init__(self, left: Generator, right: Generator, rhs: Element,
+                 table_id: str, origin: str, line: int | None = None):
+        self._fill(left, right, rhs, table_id, origin, line)
 
     def lhs_word(self) -> Word:
         w = make_word([(self.left, 1), (self.right, 1)])
@@ -213,30 +218,35 @@ def _swap_table(compiled):
 
 
 def _validate_rule(rule: Rule):
+    """Raise RelationError unless the rule is oriented, keeps the form
+    degree, leads with the swapped pair and otherwise decreases the
+    rewrite measure into normal-ordered words."""
     left, right = rule.left, rule.right
+    a, b = left.position, right.position
     pair = f"{left.name} . {right.name}"
-    if left.position <= right.position:
+    if a <= b:
         raise RelationError(
             f"rule {pair} is oriented the wrong way: left side already in normal order",
             rule.line,
         )
-    if rule.rhs.is_zero():
+    terms = rule.rhs._terms
+    if not terms:
         raise RelationError(f"rule {pair} has an empty right-hand side", rule.line)
     lhs_degree = left.form_degree + right.form_degree
-    for w in rule.rhs._terms:
+    for w in terms:
         if w.form_degree() != lhs_degree:
             raise RelationError(
                 f"rule {pair}: form degree {w.form_degree()} of term {w} "
                 f"differs from {lhs_degree}",
                 rule.line,
             )
-    swap = make_word([(right, 1), (left, 1)])
-    if swap is None or swap not in rule.rhs._terms:
+    swap = canonical_codes((b, a))  # None when the pair cancels or vanishes
+    if swap is None or swap not in terms:
         raise RelationError(
             f"rule {pair}: leading term must be the swapped pair", rule.line
         )
-    lhs_ops = _op_count(rule.lhs_word())
-    for w in rule.rhs._terms:
+    lhs_ops = _op_count((a, b))
+    for w in terms:
         if w == swap:
             continue
         if (_op_count(w), len(w)) >= (lhs_ops, 2):

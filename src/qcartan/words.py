@@ -15,11 +15,12 @@ its signed letters, one per unit power (x**-2*y is (6, 6, 8), since xinv
 sits just before x).  Normal order is then plain integer order of
 adjacent codes, and :func:`canonical_codes` brings any code sequence to
 canonical form in one integer pass.  It is the one place where letters
-cancel or vanish: the rewrite kernel in :mod:`qcartan.normalizer` runs it
-after each splice, and every other builder of words splices code tuples
-through it.  The engine reads a word letter by letter, as the tuple it is
-or through ``word.letters()``: d, the operator words, the Hopf maps and
-the pairing are all defined one letter at a time.  The (Generator,
+cancel or vanish: the rewrite kernel in :mod:`qcartan.normalizer` and
+every other builder of words splice code tuples through it, and the
+kernel, :func:`make_word` and :func:`concat` skip it where no seam can
+cancel or vanish.  The engine reads a word letter by letter, as the tuple
+it is or through ``word.letters()``: d, the operator words, the Hopf maps
+and the pairing are all defined one letter at a time.  The (Generator,
 exponent) factor view serves printing and input only: it is derived from
 the codes when a word is printed, and :func:`make_word` checks written
 powers and expands them to codes.
@@ -27,11 +28,11 @@ powers and expands them to codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import groupby, repeat
 
+from .report import Record
 from .scalars import ONE, QScalar
 
 
@@ -54,15 +55,24 @@ OPERATOR_SECTORS = frozenset(
 NON_FORM_SECTORS = frozenset(Sector) - {Sector.FORM, Sector.COORD}
 
 
-@dataclass(frozen=True, eq=False)  # identity semantics: generators are singletons
-class Generator:
-    name: str
-    sector: Sector
-    form_degree: int
-    position: int
-    # for x and K: the alias letter naming the inverse power (and back)
-    inverse_name: str | None = None
-    is_alias: bool = False
+class Generator(Record):
+    """One letter of the alphabet, an immutable :class:`Record`.
+
+    Generators are singletons (:data:`GENERATORS`), so equality and
+    hashing are by identity.  For x and K, inverse_name is the alias
+    letter naming the inverse power (and back).  The repr is the name.
+    """
+
+    __slots__ = ("name", "sector", "form_degree", "position",
+                 "inverse_name", "is_alias")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, sector: Sector, form_degree: int,
+                 position: int, inverse_name: str | None = None,
+                 is_alias: bool = False):
+        self._fill(name, sector, form_degree, position, inverse_name,
+                   is_alias)
 
     def __repr__(self):
         return self.name
@@ -477,11 +487,19 @@ def concat(a: Element, b: Element) -> Element:
     """Free (unnormalized) product: wordwise concatenation.
 
     Adjacent powers merge; monomials killed by wedge nilpotency drop out.
+    Both words are canonical, so only their seam can cancel or vanish:
+    :func:`canonical_codes` runs only on a pair whose seam clashes.
     """
     terms: dict[Word, QScalar] = {}
     for wa, ca in a.terms():
+        seam = _SEAM[wa[-1]] if wa else _NO_SEAM
         for wb, cb in b.terms():
-            codes = canonical_codes(wa + wb)
-            if codes is not None:
-                add_term(terms, Word(codes), cb if ca is ONE else ca * cb)
+            if wb and seam[wb[0]]:
+                codes = canonical_codes(wa + wb)
+                if codes is None:
+                    continue
+                w = Word(codes)
+            else:
+                w = Word(wa + wb)
+            add_term(terms, w, cb if ca is ONE else ca * cb)
     return Element._raw(terms)

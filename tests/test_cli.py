@@ -364,3 +364,21 @@ def test_package_runs_as_a_module(capsys):
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def test_start_up_does_not_import_dataclasses():
+    """Every process pays for its imports before its first answer; the
+    package's value types are plain classes, so importing dataclasses
+    (and inspect, ast and dis with it) stays out of start-up."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qcartan.cli\n"
+        "qcartan.relations.builtin_presentation()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=SRC_ENV, check=True)
+    added = proc.stdout.split()
+    assert "qcartan.relations" in added
+    assert "dataclasses" not in added

@@ -19,9 +19,16 @@ from qcartan.words import Element
 
 
 def test_monomial_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be non-negative"):
         Monomial(-1, 0, 0)
+    with pytest.raises(ValueError):
+        Monomial(0, 0, -2)
     assert str(Monomial(2, 1, 0)) == "x^2*y"
+    # a value: equal and hashed by its exponents, never equal to a tuple
+    assert Monomial(2, 1, 0) == Monomial(k=2, l=1, m=0)
+    assert hash(Monomial(2, 1, 0)) == hash(Monomial(2, 1, 0))
+    assert Monomial(2, 1, 0) != Monomial(1, 2, 0)
+    assert Monomial(2, 1, 0) != (2, 1, 0)
 
 
 def test_tangent_pairings():

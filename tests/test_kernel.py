@@ -201,12 +201,20 @@ def _alternatives(seeds):
     ]
 
 
+def _leftmost_forms(table, words):
+    """The leftmost normal form of each word, as {codes: coefficient},
+    from the uncached rewrite loop of normalize_report: no memo, no
+    sorting path, no walk."""
+    return [dict(normalize_report(Element.from_word(Word(w)), table)
+                 .output.terms())
+            for w in words]
+
+
 def _exact_divergences(table, words, alternatives):
-    """The sweep's comparison without the local-resolution pass: leftmost,
-    then every other strategy on a fresh cache."""
-    cache = table.normal_form_cache("leftmost")
-    reference = [_normal_form(w, table, cache, _pick_leftmost, None)
-                 for w in words]
+    """The sweep's comparison, computed apart from the normalizer's: each
+    word's leftmost form from the uncached loop, then every other
+    strategy on a fresh cache."""
+    reference = _leftmost_forms(table, words)
     divergences = []
     for strategy, pick, rng in alternatives:
         alt_cache = {}
@@ -378,16 +386,17 @@ def test_local_resolution_walks_the_leftmost_step():
 def test_cold_table_sweep_matches_the_exact_loop():
     """On a cold table the walk fills the memo itself, and the sweep gives
     the exact loop's report; on the bad table the walk stops early and the
-    exact loop completes the memo with the same forms."""
+    sweep's fallback completes the memo.  Either way the memo holds every
+    swept word's uncached leftmost form."""
     for rules in (builtin_presentation().rules, _BAD_TABLE.rules):
-        expected_table = RelationTable(rules)
-        expected = _exact_sweep(expected_table, 3, (1, 2))
+        expected = _exact_sweep(RelationTable(rules), 3, (1, 2))
         table = RelationTable(rules)
         report = check_local_confluence(table, 3, (1, 2))
         assert str(report) == str(expected)
         assert report.divergences == expected.divergences
         memo = table.normal_form_cache("leftmost")
-        for w, form in expected_table.normal_form_cache("leftmost").items():
+        words, _ = _sweep_words(table, 3)
+        for w, form in zip(words, _leftmost_forms(table, words)):
             assert memo[w] == form
 
 

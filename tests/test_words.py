@@ -311,3 +311,47 @@ def test_make_word_agrees_with_reference_on_any_powers(pairs):
         assert want in (errors[0], None)
     else:
         assert _key(got) == want
+
+
+def _canonical_word(names):
+    codes = canonical_codes([generator(n).position for n in names])
+    return None if codes is None else Word(codes)
+
+
+# Elements of up to three canonical words over the letters that cancel or
+# vanish at a seam, with small integer coefficients.
+seam_elements = st.lists(
+    st.tuples(st.lists(letter_names, max_size=6), st.integers(-2, 2)),
+    max_size=3,
+)
+
+
+@given(seam_elements, seam_elements)
+def test_concat_matches_canonical_codes_on_whole_sequences(a_terms, b_terms):
+    """concat canonicalizes only where a seam clashes; the result must be
+    canonical_codes of every whole concatenated sequence, cascades
+    (x x . xinv xinv) and vanishing form letters (dx x . xinv dx)
+    included."""
+    a = Element({_canonical_word(n): QScalar.rational(c) for n, c in a_terms})
+    b = Element({_canonical_word(n): QScalar.rational(c) for n, c in b_terms})
+    want = {}
+    for wa, ca in a.terms():
+        for wb, cb in b.terms():
+            codes = canonical_codes(wa + wb)
+            if codes is not None:
+                add_term(want, Word(codes), ca * cb)
+    got = concat(a, b)
+    assert got == Element(want)
+    assert all(type(w) is Word and canonical_codes(w) == w
+               for w, _ in got.terms())
+
+
+def test_concat_cascades_across_the_seam():
+    xx = Element.from_letter("x", 2)
+    dx_x = Element.from_word(make_word([("dx", 1), ("x", 1)]))
+    xinv_dx = Element.from_word(make_word([("x", -1), ("dx", 1)]))
+    assert concat(xx, Element.from_letter("x", -2)) == Element.one()
+    assert concat(dx_x, xinv_dx).is_zero()
+    assert concat(xinv_dx, dx_x).is_zero()
+    assert concat(xx, xinv_dx) == Element.from_word(
+        make_word([("x", 1), ("dx", 1)]))
