@@ -38,14 +38,14 @@ from functools import cache
 from itertools import groupby
 
 from .report import CheckReport, CheckResult
-from .scalars import QScalar
+from .scalars import ONE, QScalar
 from .words import (
     Element,
     GENERATORS,
     LETTERS,
     NON_FORM_SECTORS,
     Sector,
-    OPERATOR_SECTORS,
+    OPERATOR_CODES,
     Word,
     add_term,
     canonical_codes,
@@ -128,11 +128,9 @@ def exterior_d(f: Element, table) -> Element:
 def _act_word(u: Word, w: Word, table) -> Element:
     """normalize(u w) with the words still carrying an operator letter
     dropped."""
-    product = multiply(Element.from_word(u), Element.from_word(w), table)
-    return Element._raw({
-        v: c for v, c in product.terms()
-        if not (v.sectors() & OPERATOR_SECTORS)
-    })
+    product = multiply(Element._raw({u: ONE}), Element._raw({w: ONE}), table)
+    return Element._raw({v: c for v, c in product.terms()
+                         if OPERATOR_CODES.isdisjoint(v)})
 
 
 def act(operator: Element, target: Element, table) -> Element:

@@ -16,8 +16,17 @@ differential drops no word), so its images are :func:`act`'s own,
 shared with it in the relation table's "act" memo under (u, w).  The
 "letter" memo holds only the Lie-derivative steps, through
 :func:`lie_apply`, and the one-form-expansion steps.
-:func:`verify_table` still applies both sides of every rule to every
-basis form; only the repeated per-word work is read back.
+
+:func:`verify_table` resolves each rule side's letter steps once per
+rule, as (memo, tag, image) triples, and pushes each basis form's term
+dict through them: a one-term dict with coefficient ONE reads the memo
+image's terms as they are, and any other dict sums c * image into a
+plain dict.  The right side sums its (coeff, steps) parts into one
+dict.  Basis forms are taken in order and a rule stops at its first
+failing form, so a failing row names that form and a missing rule
+raises where a per-form loop would.  :func:`apply_operator_word` and
+:func:`apply_operator` wrap the same two helpers, :func:`_push` and
+:func:`_push_sum`.
 
 :func:`verify_table`, :func:`check_cartan_tables` and
 :func:`check_l_realization` return a :class:`~qcartan.report.CheckReport`
@@ -28,7 +37,8 @@ kept as ``relations_checked``) followed by one row per failing relation.
 from __future__ import annotations
 
 from .report import CheckReport, CheckResult
-from .words import Element, Sector, Word, concat, linear_image
+from .scalars import ONE
+from .words import Element, Sector, Word, add_term, concat
 from .normalizer import multiply
 from .calculus import (
     _OMEGAS,
@@ -77,6 +87,44 @@ def _letter_step(g, expand_omega: bool, table):
     return table.memo("act"), u, lambda w: _act_word(u, w, table)
 
 
+def _word_steps(word: Word, expand_omega: bool, table) -> list:
+    """The letter steps of an operator word, rightmost letter first."""
+    return [_letter_step(g, expand_omega, table)
+            for g in reversed(word.letters())]
+
+
+def _push(terms: dict, steps) -> dict:
+    """The terms of {word: coeff} after the steps, as a dict that may be
+    a memo image's own and must not be mutated.
+
+    A one-term dict with coefficient ONE reads the image's terms as they
+    are; any other sums c * image with :func:`~qcartan.words.add_term`.
+    """
+    for memo, tag, image in steps:
+        out = {}
+        for w, c in terms.items():
+            img = memo.get((tag, w))
+            if img is None:
+                img = memo[tag, w] = image(w)
+            if c is ONE and len(terms) == 1:
+                out = img._terms
+            else:
+                for iw, ic in img._terms.items():
+                    add_term(out, iw, ic if c is ONE else c * ic)
+        terms = out
+    return terms
+
+
+def _push_sum(terms: dict, parts) -> dict:
+    """The sum of coeff * (terms after steps) over the (coeff, steps)
+    parts, in a new dict."""
+    out = {}
+    for coeff, steps in parts:
+        for w, c in _push(terms, steps).items():
+            add_term(out, w, c if coeff is ONE else coeff * c)
+    return out
+
+
 def apply_operator_word(word: Word, target: Element, table,
                         expand_omega: bool = False) -> Element:
     """Apply a word of mixed letters to a function/form, rightmost letter
@@ -89,20 +137,17 @@ def apply_operator_word(word: Word, target: Element, table,
     of their own).  Each letter's image of each word is computed once per
     table and memoized.
     """
-    out = target
-    for g in reversed(word.letters()):
-        memo, tag, image = _letter_step(g, expand_omega, table)
-        out = linear_image(out, memo, image, tag)
-    return out
+    return Element._raw(_push(target._terms,
+                              _word_steps(word, expand_omega, table)))
 
 
 def apply_operator(e: Element, target: Element, table,
                    expand_omega: bool = False) -> Element:
-    out = Element.zero()
-    for word, coeff in e.terms():
-        out = out + coeff * apply_operator_word(word, target, table,
-                                                expand_omega)
-    return out
+    """The sum of coeff * apply_operator_word(word, target) over the
+    terms of e."""
+    return Element._raw(_push_sum(target._terms, [
+        (coeff, _word_steps(word, expand_omega, table))
+        for word, coeff in e.terms()]))
 
 
 VERIFIABLE_TABLES = (
@@ -126,19 +171,21 @@ def verify_table(table_id: str, max_degree: int, table) -> CheckReport:
         raise ValueError("max_degree must be at least 1")
     expand_omega = table_id == "t_omega"
     rules = table.for_table(table_id, origin="paper")
-    targets = [Element.from_word(w) for w in basis_forms(max_degree)]
+    forms = basis_forms(max_degree)
     failures = []
     for rule in rules:
         relation = f"{rule.left.name}*{rule.right.name}"
-        lhs_word = rule.lhs_word()
-        for target in targets:
-            lhs = apply_operator_word(lhs_word, target, table, expand_omega)
-            rhs = apply_operator(rule.rhs, target, table, expand_omega)
+        lhs_steps = _word_steps(rule.lhs_word(), expand_omega, table)
+        rhs_parts = [(coeff, _word_steps(word, expand_omega, table))
+                     for word, coeff in rule.rhs.terms()]
+        for w in forms:
+            target = {w: ONE}
+            lhs = _push(target, lhs_steps)
+            rhs = _push_sum(target, rhs_parts)
             if lhs != rhs:
-                witness = next(iter(target.terms()))[0]
                 failures.append(CheckResult(
-                    f"table {table_id} {relation} on {witness}", False,
-                    f"{lhs} != {rhs}"))
+                    f"table {table_id} {relation} on {w}", False,
+                    f"{Element._raw(lhs)} != {Element._raw(rhs)}"))
                 break
     summary = CheckResult(f"table {table_id}", not failures,
                           f"{len(rules)} relations")

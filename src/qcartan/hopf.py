@@ -9,10 +9,11 @@ and normalize independently with no crossing signs.
 
 Coproduct, counit and antipode extend the letter images over a word one
 signed letter at a time (a power is its letter repeated).  The coproduct
-of each word is computed once per presentation and kept in the relation
-table's "coproduct" memo through :func:`~qcartan.words.linear_image`,
-keyed by the presentation object itself and the word, so two
-presentations never share an entry, even under one name.  Tensor slots
+and the antipode of each word are computed once per presentation and
+kept in the relation table's "coproduct" and "antipode" memos through
+:func:`~qcartan.words.linear_image`, keyed by the presentation object
+itself and the word, so two presentations never share an entry, even
+under one name.  Tensor slots
 multiply with :func:`~qcartan.normalizer.multiply`.
 """
 
@@ -278,15 +279,18 @@ def counit(alg, e: Element) -> QScalar:
 
 
 def antipode(alg, e: Element, table) -> Element:
-    """Anti-multiplicative extension of the generator antipodes."""
+    """Anti-multiplicative extension of the generator antipodes, summed
+    over the terms of e from the per-word antipodes in the table's memo,
+    under the key (presentation, word)."""
     pres = presentation(alg)
-    out = Element.zero()
-    for word, coeff in e.terms():
+
+    def word_antipode(word):
         acc = Element.one()
         for name in reversed(pres.names(word)):
             acc = multiply(acc, pres.antipode_map[name], table)
-        out = out + coeff * acc
-    return out
+        return acc
+
+    return linear_image(e, table.memo("antipode"), word_antipode, pres)
 
 
 # ---------------------------------------------------------------------------

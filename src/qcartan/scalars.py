@@ -13,7 +13,8 @@ value c*q**(h/2), and the constructors, negation, inversion, a sum that
 leaves one term and the product of two monomials all go through it.  So
 the few dozen coefficient values of a rule table's normal forms are a
 few dozen objects, equal values compare by identity, and a product
-equal to 1 is the ONE singleton.  That is safe because a QScalar's
+equal to 1 is the ONE singleton.  A product of a QScalar with ONE is the
+other operand itself.  That is safe because a QScalar's
 ``_terms`` is never mutated after construction: every operation returns
 a new or a shared scalar.
 """
@@ -165,6 +166,10 @@ class QScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         a, b = self._terms, other._terms
         if len(a) == 1 and len(b) == 1:
             # monomial times monomial, the rule table's common case

@@ -130,6 +130,10 @@ _INVERSE = tuple(
     for g in LETTERS
 )
 _NILPOTENT = tuple(g.form_degree != 0 for g in LETTERS)
+# The codes of the OPERATOR_SECTORS letters, so a word is tested with
+# OPERATOR_CODES.isdisjoint(word) instead of building its sectors.
+OPERATOR_CODES = frozenset(g.position for g in LETTERS
+                           if g.sector in OPERATOR_SECTORS)
 # _SEAM[a][b]: whether letter b right after letter a cancels (x/xinv,
 # K/Kinv) or vanishes (a repeated form letter).  The relation is symmetric.
 _SEAM = tuple(

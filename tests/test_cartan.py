@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from qcartan.calculus import act, exterior_d
+from qcartan import cartan
+from qcartan.calculus import act, basis_forms, exterior_d
 from qcartan.cartan import (
     VERIFIABLE_TABLES,
     check_l_realization,
@@ -11,10 +12,19 @@ from qcartan.cartan import (
     lie_apply,
     verify_table,
 )
-from qcartan.normalizer import multiply, normalize
+from qcartan.normalizer import MissingRuleError, multiply, normalize
 from qcartan.parser import parse_element
+from qcartan.relations import (
+    RelationTable,
+    format_presentation,
+    load_presentation,
+)
+from qcartan.report import CheckResult
 from qcartan.scalars import Q
-from qcartan.words import Element
+from qcartan.words import Element, linear_image
+
+GOOD_RULE = "x . dy -> (q) dy . x"
+BAD_RULE = "x . dy -> (2*q) dy . x"
 
 
 def ne(text, table):
@@ -140,3 +150,92 @@ def test_check_l_realization_passes(table):
     assert report.relations_checked > 0
     assert report.results[0].name == \
         f"l-realization ({report.relations_checked} cases)"
+
+
+# ---------------------------------------------------------------------------
+# verify_table against a per-target reference
+
+
+def reference_apply_word(word, target, table, expand_omega):
+    """An operator word applied to one target Element, a letter at a time."""
+    out = target
+    for g in reversed(word.letters()):
+        memo, tag, image = cartan._letter_step(g, expand_omega, table)
+        out = linear_image(out, memo, image, tag)
+    return out
+
+
+def reference_rows(table_id, max_degree, table):
+    """verify_table's rows, each side folded per basis form as Elements."""
+    expand = table_id == "t_omega"
+    rules = table.for_table(table_id, origin="paper")
+    failures = []
+    for rule in rules:
+        for w in basis_forms(max_degree):
+            target = Element.from_word(w)
+            lhs = reference_apply_word(rule.lhs_word(), target, table, expand)
+            rhs = Element.zero()
+            for word, coeff in rule.rhs.terms():
+                rhs = rhs + coeff * reference_apply_word(word, target, table,
+                                                         expand)
+            if lhs != rhs:
+                failures.append(CheckResult(
+                    f"table {table_id} {rule.left.name}*{rule.right.name} "
+                    f"on {w}", False, f"{lhs} != {rhs}"))
+                break
+    summary = CheckResult(f"table {table_id}", not failures,
+                          f"{len(rules)} relations")
+    return (summary, *failures)
+
+
+def fresh_copies(table, n=2):
+    """n tables with the rules of table and every memo empty."""
+    return [RelationTable(table.rules) for _ in range(n)]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_table_matches_the_per_target_reference(corrupt, table):
+    text = format_presentation(table)
+    if corrupt:
+        text = text.replace(GOOD_RULE, BAD_RULE)
+    mine, ref = fresh_copies(load_presentation(text))
+    failing = 0
+    for table_id in VERIFIABLE_TABLES:
+        rows = verify_table(table_id, 2, mine).results
+        assert rows == reference_rows(table_id, 2, ref), table_id
+        failing += len(rows) - 1
+    assert (failing > 0) == corrupt
+
+
+def test_missing_rule_surfaces_where_the_reference_raises(table):
+    rules = [r for r in table.rules
+             if (r.left.name, r.right.name) != ("y", "dz")]
+    mine, ref = fresh_copies(RelationTable(rules))
+    with pytest.raises(MissingRuleError) as got:
+        verify_table("inner_coord", 2, mine)
+    with pytest.raises(MissingRuleError) as expected:
+        reference_rows("inner_coord", 2, ref)
+    assert str(got.value) == str(expected.value)
+    # both stop after computing the same images
+    assert set(mine.memo("act")) == set(ref.memo("act"))
+    assert set(mine.normal_form_cache("leftmost")) == \
+        set(ref.normal_form_cache("leftmost"))
+
+
+def test_verify_table_resolves_each_rule_side_once(table, monkeypatch):
+    calls = []
+    step = cartan._letter_step
+
+    def counted(g, expand_omega, tbl):
+        calls.append(g)
+        return step(g, expand_omega, tbl)
+
+    monkeypatch.setattr(cartan, "_letter_step", counted)
+    for table_id in VERIFIABLE_TABLES:
+        rules = table.for_table(table_id, origin="paper")
+        letters = sum(len(r.lhs_word()) + sum(len(w) for w, _ in r.rhs.terms())
+                      for r in rules)
+        for max_degree in (1, 2):
+            calls.clear()
+            assert verify_table(table_id, max_degree, table).passed
+            assert len(calls) == letters, (table_id, max_degree)

@@ -79,6 +79,18 @@ def test_antipode_values(table):
     assert antipode("U", parse_element("K"), table) == parse_element("Kinv")
 
 
+def test_antipode_is_linear(table):
+    for alg, texts in (("A", ("y", "x*y", "z", "x^-1*y^2")),
+                       ("U", ("Ty", "K*Tz", "Tx^2", "Kinv"))):
+        parts = [ne(text, table) for text in texts]
+        coeffs = (ONE, -Q, 3 * Q + 1, ONE)
+        total = sum((c * p for c, p in zip(coeffs, parts)), Element.zero())
+        expected = sum((c * antipode(alg, p, table)
+                        for c, p in zip(coeffs, parts)), Element.zero())
+        assert antipode(alg, total, table) == expected
+        assert antipode(alg, Element.zero(), table).is_zero()
+
+
 def test_antipode_law_for_twisted_primitive(table):
     # m (S (x) id) Delta(y) = S(x) y + S(y) x = 0 = eps(y)
     d = coproduct("A", parse_element("y"), table)

@@ -255,6 +255,15 @@ def test_second_cartan_tables_run_adds_no_entries():
     assert table.cache_info() == info
 
 
+def test_second_hopf_run_adds_no_antipode_entries():
+    table = fresh_table()
+    first = run_suite("hopf-U", 2, (1,), table)
+    info = table.cache_info()
+    assert info["antipode"] > 0
+    assert run_suite("hopf-U", 2, (1,), table) == first
+    assert table.cache_info() == info
+
+
 def test_equal_memo_coefficients_are_one_object():
     table = fresh_table()
     assert check_local_confluence(table, 3).passed

@@ -210,6 +210,16 @@ def test_shared_monomials_equal_the_unshared_reference(ha, ca, hb, cb):
     assert a * b is b * a is monomial(ha + hb, ca * cb)
 
 
+def test_one_times_a_scalar_is_that_scalar():
+    for c in (monomial(3, Fraction(-2, 5)), ONE + Q, Q_HALF - 2 * Q ** 3):
+        assert c * ONE is c
+        assert ONE * c is c
+    # an int operand is still coerced, never handed back
+    for product in (ONE * 2, 2 * ONE):
+        assert type(product) is QScalar
+        assert product is QScalar.rational(2)
+
+
 def test_non_monomial_products_are_fresh():
     s = ONE + Q
     assert s * Q is not s * Q
