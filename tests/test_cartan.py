@@ -188,9 +188,9 @@ def reference_rows(table_id, max_degree, table):
     return (summary, *failures)
 
 
-def fresh_copies(table, n=2):
-    """n tables with the rules of table and every memo empty."""
-    return [RelationTable(table.rules) for _ in range(n)]
+def fresh_copies(table):
+    """Two tables with the rules of table and every memo empty."""
+    return RelationTable(table.rules), RelationTable(table.rules)
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
