@@ -22,9 +22,11 @@ time and splice the runs of letters without an image in whole.  :func:`act`
 is bilinear and sums cu * cw * A[u, w], where A[u, w] is normalize(u w)
 with the operator words dropped.  D and A live in the relation table's
 "d" and "act" memos (:meth:`RelationTable.memo`), so they are filled once
-per table and never shared with another table; the letter steps of
-operator words (:mod:`qcartan.cartan`) read and fill A too.  The shared
-loop is :func:`~qcartan.words.linear_image`.
+per table and never shared with another table.  Both go through the one
+memoized loop, :func:`~qcartan.words.linear_image`: d directly, and act
+as a :func:`~qcartan.words.linear_sum` of one step per operator word,
+the (memo, u, image) triple of :func:`_act_step`, which the letter steps
+of operator words (:mod:`qcartan.cartan`) use too.
 
 The identity checks (:func:`check_d2`, :func:`check_leibniz`,
 :func:`check_d_expansion`, :func:`check_omega_tables`,
@@ -51,6 +53,7 @@ from .words import (
     canonical_codes,
     concat,
     linear_image,
+    linear_sum,
     make_word,
 )
 from .normalizer import multiply, normalize
@@ -122,7 +125,8 @@ def exterior_d(f: Element, table) -> Element:
     for d on those; expand them first).
     """
     require_function_form(f, allow_omega=False)
-    return linear_image(f, table.memo("d"), lambda w: _d_word(w, table))
+    return Element._raw(linear_image(f._terms, table.memo("d"),
+                                     lambda w: _d_word(w, table)))
 
 
 def _act_word(u: Word, w: Word, table) -> Element:
@@ -131,6 +135,12 @@ def _act_word(u: Word, w: Word, table) -> Element:
     product = multiply(Element._raw({u: ONE}), Element._raw({w: ONE}), table)
     return Element._raw({v: c for v, c in product.terms()
                          if OPERATOR_CODES.isdisjoint(v)})
+
+
+def _act_step(u: Word, table):
+    """The ("act" memo, u, image of one word) step of the operator word
+    u, shared by :func:`act` and the letter steps of operator words."""
+    return table.memo("act"), u, lambda w: _act_word(u, w, table)
 
 
 def act(operator: Element, target: Element, table) -> Element:
@@ -142,12 +152,8 @@ def act(operator: Element, target: Element, table) -> Element:
     summed from the per-word-pair images.
     """
     require_function_form(target)
-    memo = table.memo("act")
-    out = Element.zero()
-    for u, cu in operator.terms():
-        out = out + linear_image(target, memo,
-                                 lambda w: _act_word(u, w, table), u, cu)
-    return out
+    return Element._raw(linear_sum(target._terms, [
+        (cu, [_act_step(u, table)]) for u, cu in operator.terms()]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,20 @@ An operator word is applied one signed letter at a time, rightmost first
 map whose image of a basis word is computed once.  A coordinate,
 differential, partial, Lie or inner letter u steps by the action of the
 one-letter word u (on a form, left multiplication by a coordinate or a
-differential drops no word), so its images are :func:`act`'s own,
-shared with it in the relation table's "act" memo under (u, w).  The
-"letter" memo holds only the Lie-derivative steps, through
-:func:`lie_apply`, and the one-form-expansion steps.
+differential drops no word): its step is :func:`act`'s own
+(``calculus._act_step``), shared with it in the relation table's "act"
+memo under (u, w).  The "letter" memo holds only the Lie-derivative
+steps, through :func:`lie_apply`, and the one-form-expansion steps.
 
 :func:`verify_table` resolves each rule side's letter steps once per
 rule, as (memo, tag, image) triples, and pushes each basis form's term
-dict through them: a one-term dict with coefficient ONE reads the memo
-image's terms as they are, and any other dict sums c * image into a
-plain dict.  The right side sums its (coeff, steps) parts into one
-dict.  Basis forms are taken in order and a rule stops at its first
+dict through them with the two folds of the one memoized loop,
+:func:`~qcartan.words.linear_steps` for the left side and
+:func:`~qcartan.words.linear_sum` of its (coeff, steps) parts for the
+right.  Basis forms are taken in order and a rule stops at its first
 failing form, so a failing row names that form and a missing rule
 raises where a per-form loop would.  :func:`apply_operator_word` and
-:func:`apply_operator` wrap the same two helpers, :func:`_push` and
-:func:`_push_sum`.
+:func:`apply_operator` wrap the same two folds.
 
 :func:`verify_table`, :func:`check_cartan_tables` and
 :func:`check_l_realization` return a :class:`~qcartan.report.CheckReport`
@@ -38,11 +37,11 @@ from __future__ import annotations
 
 from .report import CheckReport, CheckResult
 from .scalars import ONE
-from .words import Element, Sector, Word, add_term, concat
+from .words import Element, Sector, Word, concat, linear_steps, linear_sum
 from .normalizer import multiply
 from .calculus import (
     _OMEGAS,
-    _act_word,
+    _act_step,
     act,
     basis_forms,
     coordinate_monomials,
@@ -83,46 +82,13 @@ def _letter_step(g, expand_omega: bool, table):
     if expand_omega and name in _OMEGAS:
         return table.memo("letter"), ("expand", name), lambda w: multiply(
             omega_images()[name], Element.from_word(w), table)
-    u = Word((g.position,))
-    return table.memo("act"), u, lambda w: _act_word(u, w, table)
+    return _act_step(Word((g.position,)), table)
 
 
 def _word_steps(word: Word, expand_omega: bool, table) -> list:
     """The letter steps of an operator word, rightmost letter first."""
     return [_letter_step(g, expand_omega, table)
             for g in reversed(word.letters())]
-
-
-def _push(terms: dict, steps) -> dict:
-    """The terms of {word: coeff} after the steps, as a dict that may be
-    a memo image's own and must not be mutated.
-
-    A one-term dict with coefficient ONE reads the image's terms as they
-    are; any other sums c * image with :func:`~qcartan.words.add_term`.
-    """
-    for memo, tag, image in steps:
-        out = {}
-        for w, c in terms.items():
-            img = memo.get((tag, w))
-            if img is None:
-                img = memo[tag, w] = image(w)
-            if c is ONE and len(terms) == 1:
-                out = img._terms
-            else:
-                for iw, ic in img._terms.items():
-                    add_term(out, iw, ic if c is ONE else c * ic)
-        terms = out
-    return terms
-
-
-def _push_sum(terms: dict, parts) -> dict:
-    """The sum of coeff * (terms after steps) over the (coeff, steps)
-    parts, in a new dict."""
-    out = {}
-    for coeff, steps in parts:
-        for w, c in _push(terms, steps).items():
-            add_term(out, w, c if coeff is ONE else coeff * c)
-    return out
 
 
 def apply_operator_word(word: Word, target: Element, table,
@@ -137,15 +103,15 @@ def apply_operator_word(word: Word, target: Element, table,
     of their own).  Each letter's image of each word is computed once per
     table and memoized.
     """
-    return Element._raw(_push(target._terms,
-                              _word_steps(word, expand_omega, table)))
+    return Element._raw(linear_steps(target._terms,
+                                     _word_steps(word, expand_omega, table)))
 
 
 def apply_operator(e: Element, target: Element, table,
                    expand_omega: bool = False) -> Element:
     """The sum of coeff * apply_operator_word(word, target) over the
     terms of e."""
-    return Element._raw(_push_sum(target._terms, [
+    return Element._raw(linear_sum(target._terms, [
         (coeff, _word_steps(word, expand_omega, table))
         for word, coeff in e.terms()]))
 
@@ -180,8 +146,8 @@ def verify_table(table_id: str, max_degree: int, table) -> CheckReport:
                      for word, coeff in rule.rhs.terms()]
         for w in forms:
             target = {w: ONE}
-            lhs = _push(target, lhs_steps)
-            rhs = _push_sum(target, rhs_parts)
+            lhs = linear_steps(target, lhs_steps)
+            rhs = linear_sum(target, rhs_parts)
             if lhs != rhs:
                 failures.append(CheckResult(
                     f"table {table_id} {relation} on {w}", False,
@@ -206,7 +172,7 @@ def check_cartan_tables(max_degree: int, table) -> CheckReport:
     )
 
 
-def l_realization(table) -> dict[str, Element]:
+def l_realization() -> dict[str, Element]:
     """The Lie derivatives written through x^-1 and the Lie generators,
     Lx = x^-1 Tx - x^-1 y x^-1 Ty, Ly = x^-1 Ty, Lz = Tz, with the
     generators realized by coordinates and partials."""
@@ -224,7 +190,7 @@ def check_l_realization(max_degree: int, table) -> CheckReport:
     """Cartan-formula Lie derivative against its x^-1 T realization on all
     basis 0-forms up to the degree bound: a summary row
     "l-realization (<n> cases)", then one row per failing case."""
-    images = l_realization(table)
+    images = l_realization()
     failures = []
     count = 0
     for a in ("x", "y", "z"):

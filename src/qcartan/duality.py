@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from .scalars import ONE, QScalar
-from .words import Element, Sector, Word, add_term, concat, make_word
+from .words import COORD_CODES, Element, Word, add_term, concat, make_word
 from .normalizer import multiply, normalize, commutator
 from .report import CheckReport, CheckResult, Record
 from .hopf import (HopfPresentation, _letter_products, antipode, coproduct,
@@ -125,7 +125,7 @@ def _letter_pairing(name: str, k: int, l: int, m: int) -> QScalar:
     raise ValueError(f"letter {name} is outside the dual algebra")
 
 
-def _unit_pairing(k: int, l: int, m: int) -> QScalar:
+def _unit_pairing(l: int, m: int) -> QScalar:
     # eps extended multiplicatively from eps(x) = 1; see module docstring
     return ONE if l == 0 and m == 0 else QScalar.zero()
 
@@ -135,9 +135,9 @@ def _pair_letters(letters, word: Word, table) -> QScalar:
     the left slot of the coordinate coproduct, and the rest with the
     right slot.  slots maps each right-slot word still to be paired to
     its accumulated coefficient."""
-    k, l, m = _monomial_exponents(word)
+    _, l, m = _monomial_exponents(word)
     if not letters:
-        return _unit_pairing(k, l, m)
+        return _unit_pairing(l, m)
     slots = {word: ONE}
     for head in letters[:-1]:
         peeled: dict[Word, QScalar] = {}
@@ -181,9 +181,8 @@ def pair(u: Element, f, table) -> QScalar:
     """
     if isinstance(f, Monomial):
         f = f.element()
-    for sector in f.sectors():
-        if sector is not Sector.COORD:
-            raise ValueError("pairing is defined on the coordinate algebra")
+    if not all(COORD_CODES.issuperset(w) for w in f._terms):
+        raise ValueError("pairing is defined on the coordinate algebra")
     memo = table.memo("pair")
     total = _memo_pair_sum(u, f, memo)
     if total is None:
@@ -276,7 +275,7 @@ def check_dual_hopf(max_exp: int, table) -> CheckReport:
     # unit vs counit on the basis
     for f, (element, name) in zip(monos, basis):
         got = pair(Element.one(), element, table)
-        expected = _unit_pairing(f.k, f.l, f.m)
+        expected = _unit_pairing(f.l, f.m)
         results.append(CheckResult.compare(
             f"<1, {name}> = eps({name})", got, expected))
     # antipode transposition on the generators

@@ -11,15 +11,16 @@ Coproduct, counit and antipode extend the letter images over a word one
 signed letter at a time (a power is its letter repeated).  The coproduct
 and the antipode of each word are computed once per presentation and
 kept in the relation table's "coproduct" and "antipode" memos through
-:func:`~qcartan.words.linear_image`, keyed by the presentation object
-itself and the word, so two presentations never share an entry, even
-under one name.  Tensor slots
-multiply with :func:`~qcartan.normalizer.multiply`.
+the one memoized loop, :func:`~qcartan.words.linear_image`, keyed by the
+presentation object itself and the word, so two presentations never
+share an entry, even under one name; each map wraps the loop's terms as
+its own result.  Tensor slots multiply with
+:func:`~qcartan.normalizer.multiply`.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 
 from .scalars import ONE, QScalar
 from .words import (EMPTY_WORD, GENERATORS, Element, Word, add_term,
@@ -260,8 +261,8 @@ def coproduct(alg, e: Element, table) -> TensorElement:
             delta = tensor_mul(delta, pres.delta[name], table)
         return delta
 
-    return linear_image(e, table.memo("coproduct"), word_coproduct, pres,
-                        wrap=partial(TensorElement._raw, 2))
+    return TensorElement._raw(2, linear_image(
+        e._terms, table.memo("coproduct"), word_coproduct, pres))
 
 
 def counit(alg, e: Element) -> QScalar:
@@ -290,7 +291,8 @@ def antipode(alg, e: Element, table) -> Element:
             acc = multiply(acc, pres.antipode_map[name], table)
         return acc
 
-    return linear_image(e, table.memo("antipode"), word_antipode, pres)
+    return Element._raw(linear_image(e._terms, table.memo("antipode"),
+                                     word_antipode, pres))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ every other builder of words splice code tuples through it, and the
 kernel, :func:`make_word` and :func:`concat` skip it where no seam can
 cancel or vanish.  The engine reads a word letter by letter, as the tuple
 it is or through ``word.letters()``: d, the operator words, the Hopf maps
-and the pairing are all defined one letter at a time.  The (Generator,
+and the pairing are all defined one letter at a time.  d, the actions,
+the operator words' letter steps, the coproduct and the antipode read
+and fill their memos through one loop, :func:`linear_image`, and its two
+folds, :func:`linear_steps` and :func:`linear_sum`.  The (Generator,
 exponent) factor view serves printing and input only: it is derived from
 the codes when a word is printed, and :func:`make_word` checks written
 powers and expands them to codes.
@@ -130,10 +133,13 @@ _INVERSE = tuple(
     for g in LETTERS
 )
 _NILPOTENT = tuple(g.form_degree != 0 for g in LETTERS)
-# The codes of the OPERATOR_SECTORS letters, so a word is tested with
-# OPERATOR_CODES.isdisjoint(word) instead of building its sectors.
+# The codes of the OPERATOR_SECTORS letters and of the coordinate
+# letters, so a word is tested with OPERATOR_CODES.isdisjoint(word) or
+# COORD_CODES.issuperset(word) instead of building its sectors.
 OPERATOR_CODES = frozenset(g.position for g in LETTERS
                            if g.sector in OPERATOR_SECTORS)
+COORD_CODES = frozenset(g.position for g in LETTERS
+                        if g.sector is Sector.COORD)
 # _SEAM[a][b]: whether letter b right after letter a cancels (x/xinv,
 # K/Kinv) or vanishes (a repeated form letter).  The relation is symmetric.
 _SEAM = tuple(
@@ -463,28 +469,47 @@ class Element:
         return f"Element({self})"
 
 
-def linear_image(f: Element, memo: dict, image, tag=None, scale=None,
-                 wrap=Element._raw):
-    """The image of f under the linear map with value image(w) on a word w.
+def linear_image(terms: dict, memo: dict, image, tag=None) -> dict:
+    """The terms of the image of {word: coeff} under the linear map with
+    value image(w) on a word w, as a dict the caller must not mutate.
 
-    Each word's image is computed once and stored in memo under (tag, w),
-    or under w when tag is None; later calls, with this element or any
-    other holding w, read it from there.  The result is multiplied by
-    scale, when given.  An image is anything with sparse terms(), an
-    Element or a tensor, and wrap builds the result of the same kind from
-    the summed terms.
+    The engine's one loop for a memoized linear map: each word's image is
+    computed once and stored in memo under (tag, w), or under w when tag
+    is None; later calls, with these terms or any others holding w, read
+    it from there.  An image is anything with sparse ``_terms``, an
+    Element or a tensor, and the caller wraps the result as one.  A
+    one-term dict with coefficient ONE returns the image's own terms;
+    any other sums c * image with :func:`add_term`.
     """
-    terms = {}
-    for w, c in f.terms():
+    out = {}
+    for w, c in terms.items():
         key = w if tag is None else (tag, w)
         img = memo.get(key)
         if img is None:
             img = memo[key] = image(w)
-        if scale is not None:
-            c = scale * c
-        for iw, ic in img.terms():
-            add_term(terms, iw, ic if c is ONE else c * ic)
-    return wrap(terms)
+        if c is ONE and len(terms) == 1:
+            return img._terms
+        for iw, ic in img._terms.items():
+            add_term(out, iw, ic if c is ONE else c * ic)
+    return out
+
+
+def linear_steps(terms: dict, steps) -> dict:
+    """The terms after each (memo, tag, image) step in turn, through
+    :func:`linear_image`."""
+    for memo, tag, image in steps:
+        terms = linear_image(terms, memo, image, tag)
+    return terms
+
+
+def linear_sum(terms: dict, parts) -> dict:
+    """The sum of coeff * linear_steps(terms, steps) over the (coeff,
+    steps) parts, in a new dict."""
+    out = {}
+    for coeff, steps in parts:
+        for w, c in linear_steps(terms, steps).items():
+            add_term(out, w, c if coeff is ONE else coeff * c)
+    return out
 
 
 def concat(a: Element, b: Element) -> Element:

@@ -84,6 +84,8 @@ def test_pair_command(capsys):
     code, out, _ = run(capsys, "pair", "Y", "y*x")
     assert code == 0
     assert out == "q^-1\n"
+    code, out, _ = run(capsys, "pair", "X", "x^-1*y")
+    assert (code, out) == (0, "0\n")
 
 
 def test_long_powers_in_pair_and_d(capsys):
@@ -162,8 +164,11 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
     (("act", "px", "y^-1"), "negative power of y is not defined"),
     # the sweep would grow to about 16M words at length 6
     (("check", "confluence", "--max-degree", "6"), "max_len must be at most 5"),
+    # pair's second argument must lie in the coordinate algebra
+    (("pair", "X", "x*dx"), "pairing is defined on the coordinate algebra"),
+    (("pair", "X", "x + px"), "pairing is defined on the coordinate algebra"),
 ], ids=["zero", "q-quarter", "reading-order", "act-operator-first",
-        "act-expression", "confluence-length"])
+        "act-expression", "confluence-length", "pair-form", "pair-operator"])
 def test_expression_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -258,6 +263,20 @@ def corrupt_table_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("tables") / "corrupt.rel"
     path.write_text(text.replace(good, bad), encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "cb808e8aee7a7e59536163d911f136aa"),
+    ("json-lines", "dd644cbae81325d1d9366ba141313bea"),
+])
+def test_check_all_output_bytes_on_corrupt_table(capsys, corrupt_table_path,
+                                                 fmt, digest):
+    # Every row of every suite at degree 3, failing rows and their
+    # differing sides included, byte for byte.
+    code, out, _ = run(capsys, "check", "all", "--max-degree", "3",
+                       "--format", fmt, "--table", corrupt_table_path)
+    assert code == 1
+    assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("suite, head, pinned", [

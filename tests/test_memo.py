@@ -1,24 +1,36 @@
 """The memoized linear maps: d, the operator actions, the letter steps of
-operator words and the duality pairing.
+operator words, the coproduct, the antipode and the duality pairing.
 
 Each map stores its image of a basis word on the relation table it was
 computed with.  These tests pin the three properties that make that safe:
 the memoized value equals the map's definition, on a cold memo and a warm
 one; a table's memos never answer for another table; and re-running a
-suite on the same table adds no entries.  The last tests pin that equal
+suite on the same table adds no entries.  Two tests pin the one loop
+behind the first five maps: only :func:`~qcartan.words.linear_image`
+stores their entries, and each operator word's act step images its own
+word.  The last tests pin that equal
 coefficients in a memo are one shared monomial, and that sharing never
 changes a monomial's value; that equal forms of at most one term in the
 normal-form memo are one dict, sorted forms included; and that the sweep's walk consumes the
 list of words it is handed, storing the same forms as a walk on a copy.
 """
 
+import sys
+
 from hypothesis import given, settings, strategies as st
 
-from qcartan import scalars
-from qcartan.calculus import act, basis_forms, check_d2, exterior_d
+from qcartan import scalars, words
+from qcartan.calculus import (
+    _act_word,
+    act,
+    basis_forms,
+    check_d2,
+    exterior_d,
+)
 from qcartan.cartan import apply_operator_word, check_cartan_tables, lie_apply
 from qcartan.cli import main, run_suite
 from qcartan.duality import _pair_letters, pair
+from qcartan.hopf import antipode, coproduct
 from qcartan.normalizer import (
     _closure_resolves,
     _sweep_words,
@@ -242,6 +254,57 @@ def test_operator_letter_steps_share_the_act_memo():
             assert apply_operator_word(make_word([(name, 1)]), target,
                                        table) == multiply(letter, target,
                                                           table)
+
+
+# ---------------------------------------------------------------------------
+# the one memoized loop
+
+LINEAR_MEMOS = ("d", "act", "letter", "coproduct", "antipode")
+
+
+class LoopOnlyMemo(dict):
+    """A memo that only words.linear_image may store into."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = 0
+
+    def __setitem__(self, key, value):
+        assert sys._getframe(1).f_code is words.linear_image.__code__
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+def test_only_the_loop_stores_linear_map_entries():
+    table = fresh_table()
+    for name in LINEAR_MEMOS:
+        table._caches[name] = LoopOnlyMemo()
+    e = parse_element
+    exterior_d(e("x^2*y + dx*z"), table)
+    act(e("px + Ty"), e("x*dy + y"), table)
+    apply_operator_word(make_word([("Ly", 1), ("wx", 1)]), e("x*y + z"),
+                        table, expand_omega=True)
+    coproduct("U", e("Tx*K + Ty"), table)
+    antipode("A", e("x*y + z"), table)
+    for name in LINEAR_MEMOS:
+        memo = table.memo(name)
+        assert isinstance(memo, LoopOnlyMemo), name
+        # every entry came in through the guarded store
+        assert len(memo) == memo.stores > 0, name
+
+
+def test_each_act_step_images_its_own_word():
+    table, other = fresh_table(), fresh_table()
+    operator = parse_element("px + q*Ty - iy")
+    target = parse_element("x^2*y + dx*z - (q)*dy*dz*x")
+    expected = Element.zero()
+    for u, cu in operator.terms():
+        expected = expected + cu * act(Element.from_word(u), target, other)
+    assert act(operator, target, table) == expected
+    memo = table.memo("act")
+    assert len(memo) == len(operator) * len(target)
+    for (u, w), image in memo.items():
+        assert image == _act_word(u, w, fresh_table()), (u, w)
 
 
 def test_second_cartan_tables_run_adds_no_entries():
