@@ -59,21 +59,26 @@ from .words import (
 from .normalizer import multiply, normalize
 
 _OMEGAS = ("wx", "wy", "wz")
+# The codes of the function/form letters, with and without the one-forms,
+# so a word is tested with a subset check instead of building its sectors.
+_FORM_CODES = frozenset(g.position for g in LETTERS
+                        if g.sector not in NON_FORM_SECTORS)
+_NO_OMEGA_CODES = _FORM_CODES - {GENERATORS[n].position for n in _OMEGAS}
 
 
 def require_function_form(e: Element, allow_omega: bool = True) -> Element:
     """Reject elements outside the function/form subalgebra."""
+    allowed = _FORM_CODES if allow_omega else _NO_OMEGA_CODES
+    if all(map(allowed.issuperset, e._terms)):
+        return e
     for sector in e.sectors():
         if sector in NON_FORM_SECTORS:
             raise ValueError(
                 f"not a function/form: contains a {sector.name} letter"
             )
-    if not allow_omega:
-        if any(g.name in _OMEGAS for w, _ in e.terms() for g in w.letters()):
-            raise ValueError(
-                "one-form letters are not allowed here; apply omega_expand first"
-            )
-    return e
+    raise ValueError(
+        "one-form letters are not allowed here; apply omega_expand first"
+    )
 
 
 _X, _XINV, _Y, _Z, _DX, _DY, _DZ = (

@@ -36,27 +36,33 @@ those.  Stored normal forms are never mutated, so they are shared: a
 step to a single term with coefficient ONE stores its child's form
 object, and :func:`normalize` returns Elements keyed by the memo's own
 Word objects.  A table's normal-form memo is a :class:`FormMemo`, which
-carries a share map of its forms.  The walk stores every new form at one
-site, through the map (:func:`_shared`): every empty form is one dict,
-and so is every one-term form {W: c} of one value, looked up by id(c)
-and then W, whether it was summed, sorted or a normal word's own.
-Keying by id is safe because the map holds the form and the form holds
-c, and equal monomials are one object, so equal values meet.  The map
-lives on its memo, so it never outlives the forms it serves; the fresh
-caches of other strategies are plain dicts and share nothing.  Forms of
-two or more terms are stored as built.
+carries a share map of its forms: every empty form is one dict, and so
+is every one-term form {W: c} of one value, looked up by id(c) and then
+W, whether it was summed, sorted or a normal word's own.  Sorted forms
+go through one share path (:func:`_store_sorted`), which :func:`_walk`
+and :func:`_normal_form` both use; it looks the form up by its code
+tuple, so a word whose sorted form is stored already builds no Word and
+no dict.  Summed forms and normal words' own forms go through
+:func:`_shared` at the walk's other store site.  Keying by id is safe
+because the map holds the form and the form holds c, and equal monomials
+are one object, so equal values meet.  The map lives on its memo, so it
+never outlives the forms it serves; the fresh caches of other strategies
+are plain dicts and share nothing.  Forms of two or more terms are
+stored as built.
 
-One walk, :func:`_walk`, does every reduction.  The leftmost walk first
-tries to sort each word (:func:`_sorted_form`): when every inverted
-letter pair is a pure scaled swap b.a -> c a.b of the table's `swaps`, or
-an x/xinv or K/Kinv pair, the form is the sorted canonical word times
-the product of c**n over the inverted pairs, found in one pass, as
-quantum affine space normal-orders.  The table's guard (every letter's
-swaps against x and xinv, and against K and Kinv, multiply to 1; else
-`swaps` is None and nothing sorts) makes that the form every rewriting
-strategy reaches.  A word with an inverted pair that is not a swap is
-rewritten, and its children are tried again; one such pair in a long
-word (px*x**4000) keeps the rewriting quadratic in its length.  The
+A leftmost reduction first tries to sort the word (:func:`_sorted_form`):
+when every inverted letter pair is a pure scaled swap b.a -> c a.b of the
+table's `swaps`, or an x/xinv or K/Kinv pair, the form is the sorted
+canonical word times the product of c**n over the inverted pairs, found
+in one pass, as quantum affine space normal-orders.  The table's guard
+(every letter's swaps against x and xinv, and against K and Kinv,
+multiply to 1; else `swaps` is None and nothing sorts) makes that the
+form every rewriting strategy reaches.  :func:`_normal_form` sorts a word
+that misses the memo before anything else, so a word that sorts costs
+one pass and never enters the walk.  One walk, :func:`_walk`, does every
+other reduction.  A word with an inverted pair that is not a swap is
+rewritten, and its children are sorted if they can be; one such pair in a
+long word (px*x**4000) keeps the rewriting quadratic in its length.  The
 sweep's walk and the other strategies never sort.  A strategy rewrites
 each word at the one position it picks, and the word's form is that
 step's c1*F(w1) + c2*F(w2) + ... once its children are reduced.  The
@@ -83,9 +89,9 @@ from __future__ import annotations
 import random
 
 from .report import CheckResult, Record
-from .scalars import ONE, QScalar, monomial
-from .words import (_INVERSE, _NO_SEAM, _SEAM, LETTERS, Element, Word,
-                    add_term, canonical_codes, concat)
+from .scalars import ONE, QScalar, monomial, summed
+from .words import (_INVERSE, _NILPOTENT, _NO_SEAM, _SEAM, LETTERS, Element,
+                    Word, add_term, canonical_codes, concat)
 
 
 class MissingRuleError(Exception):
@@ -164,13 +170,15 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
     is leftmost and the table has `swaps`, each word is first sorted
     (:func:`_sorted_form`), and if that succeeds, the word is finished
     without a step.  A finished word's form is `forms`' entry if there is
-    one.  Else its new form is the sorted form, or the first step's
-    c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or {Word(w): ONE} for a
-    word w in normal order, which is then finished under that same Word.
-    The one store site puts the new form through :func:`_shared` (so a
-    form of at most one term in a :class:`FormMemo` is the equal form
-    stored before, if there is one) and stores it in `forms` and in
-    `done`.  So every form is keyed by the Words of its normal words.
+    one.  Else a sorted word's form is stored by :func:`_store_sorted`,
+    the one store path of sorted forms.  Any other word's new form is the
+    first step's c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or
+    {Word(w): ONE} for a word w in normal order, which is then finished
+    under that same Word; the one store site for these puts the new form
+    through :func:`_shared` (so a form of at most one term in a
+    :class:`FormMemo` is the equal form stored before, if there is one)
+    and stores it in `forms` and in `done`.  So every form is keyed by
+    the Words of its normal words.
     Every other step must give that same form, or the walk returns False
     at once; the forms stored by then stay.  A sorted word has no other
     steps.  A pair without a rule raises MissingRuleError.
@@ -190,28 +198,29 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
             stack.pop()
             continue
         steps = pending.pop(cur, None)
-        sort = None
         if steps is None:
             if swaps is not None:
                 sort = _sorted_form(cur, swaps)
-            if sort is not None:
-                steps = ()
-            else:
-                positions = _positions(cur)
-                if pick is not None and positions:
-                    positions = [pick(cur, positions, rng)]
-                steps = [_rewrite_at(cur, i, table) for i in positions]
-                todo = [w for step in steps for w, _ in step if w not in done]
-                if todo:
-                    pending[cur] = steps
-                    stack.extend(todo)
+                if sort is not None:
+                    stack.pop()
+                    form = forms.get(cur)
+                    if form is None:
+                        form = _store_sorted(cur, sort, forms)
+                    done[cur] = form
                     continue
+            positions = _positions(cur)
+            if pick is not None and positions:
+                positions = [pick(cur, positions, rng)]
+            steps = [_rewrite_at(cur, i, table) for i in positions]
+            todo = [w for step in steps for w, _ in step if w not in done]
+            if todo:
+                pending[cur] = steps
+                stack.extend(todo)
+                continue
         stack.pop()
         form = forms.get(cur)
         if form is None:
-            if sort is not None:
-                form = sort
-            elif steps:
+            if steps:
                 form = _combine(steps[0], forms)
             else:
                 cur = Word(cur)
@@ -225,34 +234,70 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
     return True
 
 
-def _sorted_form(codes, swaps: dict) -> dict | None:
-    """The normal form of a word by sorting its letters, or None when some
-    inverted letter pair is neither a swap of `swaps` nor an x/xinv or
-    K/Kinv pair.
+def _sorted_form(codes, swaps: dict) -> tuple | None:
+    """(sorted word, coefficient) of a word whose letters sort, or None
+    when some inverted letter pair is neither a swap of `swaps` nor an
+    x/xinv or K/Kinv pair.
 
     One pass over the codes counts the letters seen so far; each letter b
     after n letters a > b multiplies the coefficient by their swap's c**n,
-    and by 1 for an x/xinv or K/Kinv pair.  The form is
-    {Word(canonical sorted codes): coefficient}, {} when the sorted word
-    vanishes.  The coefficient is :func:`~qcartan.scalars.monomial`'s
-    shared scalar, so a coefficient 1 is the ONE singleton.
+    and by 1 for an x/xinv or K/Kinv pair.  The sorted word is the sorted
+    code tuple, put through :func:`~qcartan.words.canonical_codes` only
+    when the pass saw a clash (a letter and its inverse, or a form letter
+    twice), and None when it vanishes.  The coefficient is
+    :func:`~qcartan.scalars.monomial`'s shared scalar, so a coefficient 1
+    is the ONE singleton.
     """
     seen: dict[int, int] = {}
     half, coeff = 0, 1
+    top = -1  # the largest letter seen: no letter b >= top is inverted
     for b in codes:
-        for a, n in seen.items():
-            if a > b:
-                swap = swaps.get((a, b))
-                if swap is not None:
-                    half += swap[0] * n
-                    coeff *= swap[1] ** n
-                elif _INVERSE[a] != b:
-                    return None
+        if b < top:
+            for a, n in seen.items():
+                if a > b:
+                    swap = swaps.get((a, b))
+                    if swap is not None:
+                        half += swap[0] * n
+                        coeff *= swap[1] ** n
+                    elif _INVERSE[a] != b:
+                        return None
+        else:
+            top = b
         seen[b] = seen.get(b, 0) + 1
-    w = canonical_codes(sorted(codes))
+    w = tuple(sorted(codes))
+    for a, n in seen.items():
+        if _INVERSE[a] in seen or (n > 1 and _NILPOTENT[a]):
+            w = canonical_codes(w)
+            break
+    return w, monomial(half, coeff)
+
+
+def _store_sorted(codes, sort: tuple, forms: dict) -> dict:
+    """Store and return the form of a word that sorts: `sort` is its
+    (sorted word, coefficient) from :func:`_sorted_form`.
+
+    The one store path of sorted forms, for :func:`_walk` and
+    :func:`_normal_form` alike.  In a :class:`FormMemo` the form is looked
+    up in the share map by its coefficient's id and then its code tuple,
+    so a word whose sorted form is stored already builds no Word and no
+    dict; a new form {Word(w): c} is entered there (see :func:`_shared`).
+    """
+    w, c = sort
+    share = getattr(forms, "share", None)
     if w is None:
-        return {}
-    return {Word(w): monomial(half, coeff)}
+        form = _shared({}, share)
+    elif share is None:
+        form = {Word(w): c}
+    else:
+        by_word = share.get(id(c))
+        if by_word is None:
+            by_word = share[id(c)] = {}
+        form = by_word.get(w)
+        if form is None:
+            w = Word(w)
+            form = by_word[w] = {w: c}
+    forms[codes] = form
+    return form
 
 
 def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
@@ -260,11 +305,19 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
 
     The picked position is a function of the word (fixed once per cache),
     so each strategy is deterministic and safely memoizable: the cache is
-    both the walk's forms and its finished words.
+    both the walk's forms and its finished words.  Under the leftmost
+    strategy a word missing from the cache is sorted first, when the
+    table has `swaps`, and only a word that does not sort is walked.
     """
-    if codes not in cache:
+    form = cache.get(codes)
+    if form is None:
+        if pick is _pick_leftmost and table.swaps is not None:
+            sort = _sorted_form(codes, table.swaps)
+            if sort is not None:
+                return _store_sorted(codes, sort, cache)
         _walk([codes], table, cache, cache, pick, rng)
-    return cache[codes]
+        form = cache[codes]
+    return form
 
 
 def _combine(children, forms: dict) -> dict:
@@ -329,13 +382,36 @@ def normalize(e: Element, table) -> Element:
     table's shared normal-form memo.  Linear over scalars and idempotent.
     Raises MissingRuleError when an out-of-order pair without a rule comes
     up during reduction.
+
+    A normal word's first coefficient is kept as it is, so a shared
+    monomial stays shared; from the second on, the word's
+    {half_exponent: rational} map is summed in place and frozen once at
+    the end (:func:`~qcartan.scalars.summed`), and a word whose sum is
+    zero is dropped.
     """
     cache = table.normal_form_cache("leftmost")
     terms: dict[Word, QScalar] = {}
+    sums: dict[Word, dict] = {}
     for w, c in e.terms():
         for nw, nc in _normal_form(w, table, cache, _pick_leftmost,
                                    None).items():
-            add_term(terms, nw, nc if c is ONE else c * nc)
+            if c is not ONE:
+                nc = c * nc
+            prev = terms.get(nw)
+            if prev is None:
+                terms[nw] = nc
+                continue
+            acc = sums.get(nw)
+            if acc is None:
+                acc = sums[nw] = dict(prev._terms)
+            for h, x in nc._terms.items():
+                acc[h] = acc.get(h, 0) + x
+    for nw, acc in sums.items():
+        s = summed(acc)
+        if s:
+            terms[nw] = s
+        else:
+            del terms[nw]
     return Element._raw(terms)
 
 

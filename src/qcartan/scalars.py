@@ -16,7 +16,10 @@ few dozen objects, equal values compare by identity, and a product
 equal to 1 is the ONE singleton.  A product of a QScalar with ONE is the
 other operand itself.  That is safe because a QScalar's
 ``_terms`` is never mutated after construction: every operation returns
-a new or a shared scalar.
+a new or a shared scalar.  A monomial times a polynomial shifts and
+scales the polynomial in one pass, and a {half_exponent: rational} map
+that a caller sums in place becomes a QScalar once, through
+:func:`summed`.
 """
 
 from __future__ import annotations
@@ -171,11 +174,20 @@ class QScalar:
         if self is _ONE:
             return other
         a, b = self._terms, other._terms
-        if len(a) == 1 and len(b) == 1:
-            # monomial times monomial, the rule table's common case
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
             (ha, ca), = a.items()
-            (hb, cb), = b.items()
-            return monomial(ha + hb, ca * cb)
+            if len(b) == 1:
+                # monomial times monomial, the rule table's common case
+                (hb, cb), = b.items()
+                return monomial(ha + hb, ca * cb)
+            if b:
+                # a monomial shifts and scales the other polynomial: the
+                # exponents stay distinct and no product of nonzero
+                # rationals is zero
+                return QScalar._raw({ha + hb: _exact(ca * cb)
+                                     for hb, cb in b.items()})
         if not a or not b:
             return _ZERO
         terms = {}
@@ -285,6 +297,17 @@ def monomial(h: int, c) -> QScalar:
         h = int(h)
         s = _MONOMIALS[h, c] = QScalar._raw({h: c})
     return s
+
+
+def summed(terms: dict) -> QScalar:
+    """The QScalar of a {half_exponent: rational} map that was summed in
+    place: each coefficient through :func:`_exact`, zero ones dropped, and
+    a single term left the shared :func:`monomial`."""
+    clean = {h: _exact(c) for h, c in terms.items() if c}
+    if len(clean) == 1:
+        (h, c), = clean.items()
+        return monomial(h, c)
+    return QScalar._raw(clean) if clean else _ZERO
 
 
 def _exact(c):

@@ -13,6 +13,7 @@ from qcartan import normalizer
 from qcartan.calculus import act, exterior_d
 from qcartan.normalizer import (
     ConfluenceReport,
+    FormMemo,
     MissingRuleError,
     _close,
     _closure_masks,
@@ -24,6 +25,7 @@ from qcartan.normalizer import (
     _pick_rightmost,
     _positions,
     _sorted_form,
+    _store_sorted,
     _sweep_words,
     check_local_confluence,
     multiply,
@@ -455,9 +457,10 @@ def test_sorting_path_agrees_with_uncached_reduction(codes):
         return
     for table in (builtin_presentation(), _SORTABLE_MUTANT):
         assert table.swaps is not None
-        form = _sorted_form(codes, table.swaps)
-        if form is None:
+        sort = _sorted_form(codes, table.swaps)
+        if sort is None:
             continue
+        form = _store_sorted(codes, sort, FormMemo())
         report = normalize_report(Element.from_word(Word(codes)), table)
         assert form == dict(report.output.terms())
         assert all(type(k) is Word for k in form)
