@@ -9,17 +9,17 @@ rule table multiply as machine integers.  No floating point is used
 anywhere.
 
 Monomials are shared: :func:`monomial` returns the one QScalar for each
-value c*q**(h/2), and the constructors, negation, inversion, a sum that
-leaves one term and the product of two monomials all go through it.  So
-the few dozen coefficient values of a rule table's normal forms are a
-few dozen objects, equal values compare by identity, and a product
-equal to 1 is the ONE singleton.  A product of a QScalar with ONE is the
-other operand itself.  That is safe because a QScalar's
+value c*q**(h/2), and the constructors, negation, inversion, a sum or a
+product that leaves one term and the product of two monomials all go
+through it.  So the few dozen coefficient values of a rule table's
+normal forms are a few dozen objects, equal values compare by identity,
+and a product equal to 1 is the ONE singleton.  A product of a QScalar
+with ONE is the other operand itself.  That is safe because a QScalar's
 ``_terms`` is never mutated after construction: every operation returns
 a new or a shared scalar.  A monomial times a polynomial shifts and
-scales the polynomial in one pass, and a {half_exponent: rational} map
-that a caller sums in place becomes a QScalar once, through
-:func:`summed`.
+scales the polynomial in one pass.  Every other sum or product is summed
+on a {half_exponent: rational} map and made a QScalar once, through
+:func:`summed`, which normalization uses too.
 """
 
 from __future__ import annotations
@@ -134,15 +134,8 @@ class QScalar:
             return self
         terms = dict(self._terms)
         for h, c in other._terms.items():
-            s = _exact(terms.get(h, 0) + c)
-            if s:
-                terms[h] = s
-            else:
-                terms.pop(h, None)
-        if len(terms) == 1:
-            (h, c), = terms.items()
-            return monomial(h, c)
-        return QScalar._raw(terms)
+            terms[h] = terms.get(h, 0) + c
+        return summed(terms)
 
     __radd__ = __add__
 
@@ -194,12 +187,8 @@ class QScalar:
         for ha, ca in a.items():
             for hb, cb in b.items():
                 h = ha + hb
-                s = _exact(terms.get(h, 0) + ca * cb)
-                if s:
-                    terms[h] = s
-                else:
-                    terms.pop(h, None)
-        return QScalar._raw(terms)
+                terms[h] = terms.get(h, 0) + ca * cb
+        return summed(terms)
 
     __rmul__ = __mul__
 

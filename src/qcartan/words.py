@@ -299,7 +299,9 @@ def add_term(terms: dict, key, c) -> None:
     QScalar keeps its own loops over {half_exponent: coefficient}: each
     coefficient there passes through ``scalars._exact`` so that integral
     values stay ints, and sharing this helper would make it branch on
-    its caller.
+    its caller.  :func:`~qcartan.normalizer.normalize` sums a normal
+    word's later coefficients on such a map, in place, and makes it a
+    QScalar once (``scalars.summed``).
     """
     prev = terms.get(key)
     s = c if prev is None else prev + c

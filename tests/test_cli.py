@@ -167,8 +167,15 @@ def test_parse_error_exits_nonzero(capsys, tmp_path):
     # pair's second argument must lie in the coordinate algebra
     (("pair", "X", "x*dx"), "pairing is defined on the coordinate algebra"),
     (("pair", "X", "x + px"), "pairing is defined on the coordinate algebra"),
+    # d, act, iapply and lapply take a function/form
+    (("d", "px*x"), "not a function/form: contains a PARTIAL letter"),
+    (("act", "px", "x*Ty"), "not a function/form: contains a LIE letter"),
+    (("iapply", "x", "K"), "not a function/form: contains a GROUPLIKE letter"),
+    (("lapply", "x", "wx"),
+     "one-form letters are not allowed here; apply omega_expand first"),
 ], ids=["zero", "q-quarter", "reading-order", "act-operator-first",
-        "act-expression", "confluence-length", "pair-form", "pair-operator"])
+        "act-expression", "confluence-length", "pair-form", "pair-operator",
+        "d-partial", "act-lie", "iapply-grouplike", "lapply-one-form"])
 def test_expression_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -359,6 +359,21 @@ def test_sorted_memo_forms_are_shared():
     assert len({id(form) for form in small}) == len(values)
 
 
+def test_equal_sorted_forms_are_one_object():
+    """Two fresh words that sort to the same form get that one form
+    object, found by code tuple, and one memo entry each."""
+    table = fresh_table()
+    memo = table.normal_form_cache("leftmost")
+    words = [w for text in ("z*x*y", "y*z*x")
+             for w, _ in parse_element(text).terms()]
+    for w in words:
+        normalize(Element.from_word(w), table)
+    assert list(memo) == words
+    first, second = (memo[w] for w in words)
+    assert first is second
+    assert first == dict(parse_element("q^-2*x*y*z").terms())
+
+
 def test_sweep_walk_consumes_its_roots():
     words, _ = _sweep_words(builtin_presentation(), 3)
     copy = list(words)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,8 +19,8 @@ from qcartan.normalizer import (
     normalize_report,
 )
 from qcartan.parser import parse_element
-from qcartan.relations import builtin_presentation
-from qcartan.scalars import Q, Q_INV
+from qcartan.relations import RelationTable, builtin_presentation
+from qcartan.scalars import Q, Q_INV, QScalar
 from qcartan.words import GENERATORS, LETTERS, Element, make_word
 
 
@@ -266,3 +267,94 @@ def test_rewrite_at_every_rule_seam_agrees_with_reference():
                     canonicalized += sum(
                         w is None or len(w) < len(word) for w, _ in expected)
     assert canonicalized > 400  # 425 terms on the builtin table
+
+
+# ---------------------------------------------------------------------------
+# one pass per word: sorting outside the walk, sums in place
+
+sortable_names = st.lists(
+    st.sampled_from(["x", "xinv", "y", "z", "dx", "dy", "dz"]),
+    min_size=1, max_size=5)
+q_polynomials = st.dictionaries(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    min_size=1, max_size=3,
+).map(QScalar)
+
+
+def _reference_form(word, table):
+    """The uncached leftmost normal form of one word."""
+    return normalize_report(Element.from_word(word), table).output
+
+
+def _stored_exactly(e):
+    """No zero coefficient, and every integral rational stored as int."""
+    return all(c and all(type(v) is int or v.denominator != 1
+                         for v in c._terms.values())
+               for _, c in e.terms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(sortable_names, q_polynomials, st.booleans()),
+                min_size=1, max_size=12))
+@example([(["y", "x"], QScalar({0: Fraction(3, 2), 2: 1}), True),
+          (["x", "y"], QScalar({2: Fraction(1, 2)}), False),
+          (["z", "y", "x"], QScalar({0: 2, -2: 2}), True)])
+def test_normalize_sums_like_the_per_word_reference(terms):
+    """normalize of a many-term sum, whose words normal-order onto shared
+    words with q-polynomial coefficients, equals the sum of the per-word
+    reference forms; a term drawn with `cancel` is paired with its
+    reversed word under the coefficient that cancels it after ordering.
+    The result holds no zero and no integral Fraction, cold or warm."""
+    table = RelationTable(builtin_presentation().rules)
+    e = Element.zero()
+    for names, c, cancel in terms:
+        word = make_word((n, 1) for n in names)
+        if word is None:
+            continue
+        e = e + Element.from_word(word, c)
+        partner = make_word((n, 1) for n in reversed(names))
+        if cancel and partner is not None and partner != word:
+            (w1, a), = _reference_form(word, table).terms() or [(None, 0)]
+            (w2, b), = _reference_form(partner, table).terms() or [(None, 0)]
+            if w1 is not None and w1 == w2:
+                e = e + Element.from_word(partner, -(c * a * b.inverse()))
+    expected = Element.zero()
+    for w, c in e.terms():
+        expected = expected + _reference_form(w, table) * c
+    for _ in range(2):
+        got = normalize(e, table)
+        assert got == expected
+        assert _stored_exactly(got)
+
+
+@pytest.mark.parametrize("text", ["x*y*x^-1", "x^-1*y*x", "K*Tx*Kinv",
+                                  "Kinv*Ty*K", "dx*y*dx", "dy*x^-1*z*x*dy",
+                                  "y*x^-1*z*x"])
+def test_sorted_clashes_agree_with_the_reference(text):
+    """A letter and its inverse, or a form letter twice, in a word that
+    sorts: the sorted word is cancelled or vanishes as rewriting does."""
+    table = RelationTable(builtin_presentation().rules)
+    e = parse_element(text)
+    assert normalize(e, table) == normalize_report(e, table).output
+    if text.startswith("d"):
+        assert normalize(e, table).is_zero()
+
+
+def test_sortable_words_never_enter_the_walk(monkeypatch):
+    table = RelationTable(builtin_presentation().rules)
+    walked = []
+    walk = normalizer._walk
+
+    def counted(roots, *args):
+        walked.append(tuple(roots))
+        return walk(roots, *args)
+
+    monkeypatch.setattr(normalizer, "_walk", counted)
+    e = parse_element("(x + q*y + dz)^4 + (x^-1 + 2*z)^3*dy")
+    got = normalize(e, table)
+    assert walked == []
+    assert got == normalize_report(e, table).output
+    # a word with a pair that is not a swap is walked, from its root
+    normalize(parse_element("px*x^3"), table)
+    assert walked == [(make_word([("px", 1), ("x", 3)]),)]

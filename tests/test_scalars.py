@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcartan.scalars import (ONE, Q, Q_HALF, Q_INV, ZERO, QScalar, monomial,
                              parse_scalar)
@@ -225,3 +225,28 @@ def test_non_monomial_products_are_fresh():
     assert s * Q is not s * Q
     assert s * s is not s * s
     assert (s * s)._terms == {0: 1, 2: 2, 4: 1}
+
+
+polynomials = st.dictionaries(half_exponents, nonzero_rationals,
+                              min_size=2, max_size=6).map(QScalar)
+
+
+def _double_loop(a: QScalar, b: QScalar) -> dict:
+    """The product's {half_exponent: coefficient} map by the generic
+    double loop."""
+    terms = {}
+    for ha, ca in a._terms.items():
+        for hb, cb in b._terms.items():
+            terms[ha + hb] = terms.get(ha + hb, 0) + ca * cb
+    return {h: c for h, c in terms.items() if c}
+
+
+@given(half_exponents, nonzero_rationals, polynomials)
+@example(2, Fraction(2, 3), QScalar({0: Fraction(3, 2), 2: Fraction(3, 4)}))
+def test_monomial_times_polynomial_is_the_double_loop(h, c, p):
+    """The one-pass shift and scale gives the double loop's terms, with
+    integral products (2/3 * 3/2) stored as int."""
+    m = monomial(h, c)
+    for product in (m * p, p * m):
+        assert product._terms == _double_loop(m, p)
+        assert _stored_exactly(product), product._terms
