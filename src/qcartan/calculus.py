@@ -42,6 +42,7 @@ from itertools import groupby
 from .report import CheckReport, CheckResult
 from .scalars import ONE, QScalar
 from .words import (
+    FORM_CODES,
     Element,
     GENERATORS,
     LETTERS,
@@ -59,16 +60,13 @@ from .words import (
 from .normalizer import multiply, normalize
 
 _OMEGAS = ("wx", "wy", "wz")
-# The codes of the function/form letters, with and without the one-forms,
-# so a word is tested with a subset check instead of building its sectors.
-_FORM_CODES = frozenset(g.position for g in LETTERS
-                        if g.sector not in NON_FORM_SECTORS)
-_NO_OMEGA_CODES = _FORM_CODES - {GENERATORS[n].position for n in _OMEGAS}
+# The codes of the function/form letters without the one-forms.
+_NO_OMEGA_CODES = FORM_CODES - {GENERATORS[n].position for n in _OMEGAS}
 
 
 def require_function_form(e: Element, allow_omega: bool = True) -> Element:
     """Reject elements outside the function/form subalgebra."""
-    allowed = _FORM_CODES if allow_omega else _NO_OMEGA_CODES
+    allowed = FORM_CODES if allow_omega else _NO_OMEGA_CODES
     if all(map(allowed.issuperset, e._terms)):
         return e
     for sector in e.sectors():

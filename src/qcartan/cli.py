@@ -164,10 +164,18 @@ def _cmd_value(args) -> int:
     """Print the value of one value command: an Element in canonical
     form, a QScalar as itself or, under --q, as the rational it takes."""
     value = _VALUES[args.command][2](args, _resolve_table(args))
-    if isinstance(value, Element):
-        _print_element(value, args)
-    else:
-        print(value if args.q is None else value.evaluate(args.q))
+    # An exact value prints in full, however many digits it has: the
+    # interpreter's int-to-str limit is lifted only while printing, so
+    # number literals in expressions stay bounded by it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if isinstance(value, Element):
+            _print_element(value, args)
+        else:
+            print(value if args.q is None else value.evaluate(args.q))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

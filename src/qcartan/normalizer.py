@@ -199,20 +199,22 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
             continue
         steps = pending.pop(cur, None)
         if steps is None:
-            if swaps is not None:
-                sort = _sorted_form(cur, swaps)
-                if sort is not None:
-                    stack.pop()
-                    form = forms.get(cur)
-                    if form is None:
-                        form = _store_sorted(cur, sort, forms)
-                    done[cur] = form
-                    continue
             positions = _positions(cur)
             if pick is not None and positions:
                 positions = [pick(cur, positions, rng)]
             steps = [_rewrite_at(cur, i, table) for i in positions]
-            todo = [w for step in steps for w, _ in step if w not in done]
+            todo = []
+            for step in steps:
+                for w, _ in step:
+                    if w in done:
+                        continue
+                    if swaps is not None and w not in pending:
+                        form = _sort(w, forms, swaps)
+                        if form is not None:
+                            done[w] = form
+                            continue
+                        pending[w] = None
+                    todo.append(w)
             if todo:
                 pending[cur] = steps
                 stack.extend(todo)
@@ -272,30 +274,24 @@ def _sorted_form(codes, swaps: dict) -> tuple | None:
     return w, monomial(half, coeff)
 
 
-def _store_sorted(codes, sort: tuple, forms: dict) -> dict:
-    """Store and return the form of a word that sorts: `sort` is its
-    (sorted word, coefficient) from :func:`_sorted_form`.
+def _sort(codes, forms: dict, swaps: dict) -> dict | None:
+    """Store and return the form of a word that sorts, or None (storing
+    nothing) when it does not sort (:func:`_sorted_form`).
 
-    The one store path of sorted forms, for :func:`_walk` and
-    :func:`_normal_form` alike.  In a :class:`FormMemo` the form is looked
-    up in the share map by its coefficient's id and then its code tuple,
-    so a word whose sorted form is stored already builds no Word and no
-    dict; a new form {Word(w): c} is entered there (see :func:`_shared`).
+    In a :class:`FormMemo` a form already in the share map is found there
+    by its coefficient's id and then its code tuple, so it builds no Word
+    and no dict; a new form {Word(w): c} enters the map through
+    :func:`_shared`, as every form does.
     """
+    sort = _sorted_form(codes, swaps)
+    if sort is None:
+        return None
     w, c = sort
     share = getattr(forms, "share", None)
-    if w is None:
-        form = _shared({}, share)
-    elif share is None:
-        form = {Word(w): c}
-    else:
-        by_word = share.get(id(c))
-        if by_word is None:
-            by_word = share[id(c)] = {}
-        form = by_word.get(w)
-        if form is None:
-            w = Word(w)
-            form = by_word[w] = {w: c}
+    by_word = share.get(id(c)) if share else None
+    form = by_word.get(w) if by_word else None
+    if form is None:
+        form = _shared({} if w is None else {Word(w): c}, share)
     forms[codes] = form
     return form
 
@@ -312,11 +308,10 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     form = cache.get(codes)
     if form is None:
         if pick is _pick_leftmost and table.swaps is not None:
-            sort = _sorted_form(codes, table.swaps)
-            if sort is not None:
-                return _store_sorted(codes, sort, cache)
-        _walk([codes], table, cache, cache, pick, rng)
-        form = cache[codes]
+            form = _sort(codes, cache, table.swaps)
+        if form is None:
+            _walk([codes], table, cache, cache, pick, rng)
+            form = cache[codes]
     return form
 
 

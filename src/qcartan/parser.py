@@ -38,7 +38,8 @@ from fractions import Fraction
 from functools import cache
 
 from .scalars import QScalar, monomial
-from .words import Element, GENERATORS, MAX_EXPONENT, concat, make_word
+from .words import (Element, GENERATORS, MAX_EXPONENT, add_term, concat,
+                    make_word)
 
 # Each nesting level costs four parser frames (expr, term, factor, atom),
 # so 50 levels take about 200 frames, well under the default recursion
@@ -170,14 +171,18 @@ class _Parser:
         kind, op, _ = self.peek()
         if sign == 1 and not (kind == "op" and op in "+-"):
             return first
-        first = _element(first)
-        out = Element.zero() + (first if sign > 0 else -first)
-        while kind == "op" and op in "+-":
+        # one dict for the whole sum: adding Elements would copy it per term
+        terms: dict = {}
+        term = _element(first)
+        while True:
+            for w, c in term._terms.items():
+                add_term(terms, w, c if sign > 0 else -c)
+            if not (kind == "op" and op in "+-"):
+                return "elem", Element._raw(terms)
             self.next()
+            sign = 1 if op == "+" else -1
             term = _element(self.term())
-            out = out + (term if op == "+" else -term)
             kind, op, _ = self.peek()
-        return "elem", out
 
     def term(self):
         out = self.factor()

@@ -36,9 +36,9 @@ from .report import Record
 from .scalars import ONE, monomial
 from .words import (
     _INVERSE,
+    FORM_CODES,
     GENERATORS,
     LETTERS,
-    NON_FORM_SECTORS,
     Element,
     Generator,
     Word,
@@ -82,12 +82,8 @@ class Rule(Record):
         return f"{self.left.name} . {self.right.name} -> {_format_element(self.rhs)}"
 
 
-_OP_CODES = frozenset(g.position for g in LETTERS
-                      if g.sector in NON_FORM_SECTORS)
-
-
 def _op_count(word: Word) -> int:
-    return sum(c in _OP_CODES for c in word)
+    return sum(c not in FORM_CODES for c in word)
 
 
 class RelationTable:

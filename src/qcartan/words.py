@@ -133,13 +133,16 @@ _INVERSE = tuple(
     for g in LETTERS
 )
 _NILPOTENT = tuple(g.form_degree != 0 for g in LETTERS)
-# The codes of the OPERATOR_SECTORS letters and of the coordinate
-# letters, so a word is tested with OPERATOR_CODES.isdisjoint(word) or
+# The codes of the OPERATOR_SECTORS letters, of the coordinate letters
+# and of the function/form letters (those outside NON_FORM_SECTORS), so a
+# word is tested with OPERATOR_CODES.isdisjoint(word) or
 # COORD_CODES.issuperset(word) instead of building its sectors.
 OPERATOR_CODES = frozenset(g.position for g in LETTERS
                            if g.sector in OPERATOR_SECTORS)
 COORD_CODES = frozenset(g.position for g in LETTERS
                         if g.sector is Sector.COORD)
+FORM_CODES = frozenset(g.position for g in LETTERS
+                       if g.sector not in NON_FORM_SECTORS)
 # _SEAM[a][b]: whether letter b right after letter a cancels (x/xinv,
 # K/Kinv) or vanishes (a repeated form letter).  The relation is symmetric.
 _SEAM = tuple(

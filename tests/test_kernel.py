@@ -24,8 +24,8 @@ from qcartan.normalizer import (
     _pick_random,
     _pick_rightmost,
     _positions,
+    _sort,
     _sorted_form,
-    _store_sorted,
     _sweep_words,
     check_local_confluence,
     multiply,
@@ -457,10 +457,9 @@ def test_sorting_path_agrees_with_uncached_reduction(codes):
         return
     for table in (builtin_presentation(), _SORTABLE_MUTANT):
         assert table.swaps is not None
-        sort = _sorted_form(codes, table.swaps)
-        if sort is None:
+        form = _sort(codes, FormMemo(), table.swaps)
+        if form is None:
             continue
-        form = _store_sorted(codes, sort, FormMemo())
         report = normalize_report(Element.from_word(Word(codes)), table)
         assert form == dict(report.output.terms())
         assert all(type(k) is Word for k in form)
