@@ -38,12 +38,10 @@ object, and :func:`normalize` returns Elements keyed by the memo's own
 Word objects.  A table's normal-form memo is a :class:`FormMemo`, which
 carries a share map of its forms: every empty form is one dict, and so
 is every one-term form {W: c} of one value, looked up by id(c) and then
-W, whether it was summed, sorted or a normal word's own.  Sorted forms
-go through one share path (:func:`_store_sorted`), which :func:`_walk`
-and :func:`_normal_form` both use; it looks the form up by its code
-tuple, so a word whose sorted form is stored already builds no Word and
-no dict.  Summed forms and normal words' own forms go through
-:func:`_shared` at the walk's other store site.  Keying by id is safe
+W, whether it was summed, sorted or a normal word's own.  A new form
+enters the map only through :func:`_shared`.  :func:`_sort` first looks
+a sorted form up there by its code tuple, so a word whose sorted form is
+stored already builds no Word and no dict.  Keying by id is safe
 because the map holds the form and the form holds c, and equal monomials
 are one object, so equal values meet.  The map lives on its memo, so it
 never outlives the forms it serves; the fresh caches of other strategies
@@ -57,12 +55,14 @@ canonical word times the product of c**n over the inverted pairs, found
 in one pass, as quantum affine space normal-orders.  The table's guard
 (every letter's swaps against x and xinv, and against K and Kinv,
 multiply to 1; else `swaps` is None and nothing sorts) makes that the
-form every rewriting strategy reaches.  :func:`_normal_form` sorts a word
-that misses the memo before anything else, so a word that sorts costs
-one pass and never enters the walk.  One walk, :func:`_walk`, does every
-other reduction.  A word with an inverted pair that is not a swap is
-rewritten, and its children are sorted if they can be; one such pair in a
-long word (px*x**4000) keeps the rewriting quadratic in its length.  The
+form every rewriting strategy reaches.  One function, :func:`_sort`,
+sorts a word and stores its form.  :func:`_normal_form` calls it on a
+word that misses the memo before anything else, so a word that sorts
+costs one pass and never enters the walk, and :func:`_walk` calls it on
+each new child as it pushes the children, so each word is scanned once.
+One walk, :func:`_walk`, does every other reduction.  A word with an
+inverted pair that is not a swap is rewritten; one such pair in a long
+word (px*x**4000) keeps the rewriting quadratic in its length.  The
 sweep's walk and the other strategies never sort.  A strategy rewrites
 each word at the one position it picks, and the word's form is that
 step's c1*F(w1) + c2*F(w2) + ... once its children are reduced.  The
@@ -167,21 +167,21 @@ def _walk(roots: list, table, forms: dict, done: dict, pick, rng) -> bool:
     rewritten once at `pick(word, positions, rng)`, or at every
     out-of-order position when `pick` is None, and waits in the pending
     map until the children of all its steps are in `done`.  When `pick`
-    is leftmost and the table has `swaps`, each word is first sorted
-    (:func:`_sorted_form`), and if that succeeds, the word is finished
-    without a step.  A finished word's form is `forms`' entry if there is
-    one.  Else a sorted word's form is stored by :func:`_store_sorted`,
-    the one store path of sorted forms.  Any other word's new form is the
-    first step's c1*F(w1) + c2*F(w2) + ... (:func:`_combine`), or
-    {Word(w): ONE} for a word w in normal order, which is then finished
-    under that same Word; the one store site for these puts the new form
-    through :func:`_shared` (so a form of at most one term in a
-    :class:`FormMemo` is the equal form stored before, if there is one)
-    and stores it in `forms` and in `done`.  So every form is keyed by
-    the Words of its normal words.
-    Every other step must give that same form, or the walk returns False
-    at once; the forms stored by then stay.  A sorted word has no other
-    steps.  A pair without a rule raises MissingRuleError.
+    is leftmost and the table has `swaps`, each child not in `done` is
+    sorted as it is pushed (:func:`_sort`, which stores its form), and
+    one that sorts is finished without a step.  One that does not sort
+    waits in the pending map with no steps yet, so another copy of it is
+    not sorted again.  The roots are not sorted here: :func:`_normal_form`
+    has tried them.  A finished word's form is `forms`' entry if there is
+    one.  Else its new form is the first step's c1*F(w1) + c2*F(w2) + ...
+    (:func:`_combine`), or {Word(w): ONE} for a word w in normal order,
+    which is then finished under that same Word; it goes through
+    :func:`_shared` (so a form of at most one term in a :class:`FormMemo`
+    is the equal form stored before, if there is one) and is stored in
+    `forms` and in `done`.  So every form is keyed by the Words of its
+    normal words.  Every other step must give that same form, or the walk
+    returns False at once; the forms stored by then stay.  A pair without
+    a rule raises MissingRuleError.
 
     The caller hands `roots` over: the walk uses the list as its stack
     and pops each root once it is finished, or at once if it already was,
@@ -275,11 +275,12 @@ def _sorted_form(codes, swaps: dict) -> tuple | None:
 
 
 def _sort(codes, forms: dict, swaps: dict) -> dict | None:
-    """Store and return the form of a word that sorts, or None (storing
-    nothing) when it does not sort (:func:`_sorted_form`).
+    """Sort a word (:func:`_sorted_form`) and store its form in `forms`;
+    the form, or None, storing nothing, when the word does not sort.
 
-    In a :class:`FormMemo` a form already in the share map is found there
-    by its coefficient's id and then its code tuple, so it builds no Word
+    The one sort of :func:`_normal_form` and :func:`_walk`.  In a
+    :class:`FormMemo` a form already in the share map is found there by
+    its coefficient's id and then its code tuple, so it builds no Word
     and no dict; a new form {Word(w): c} enters the map through
     :func:`_shared`, as every form does.
     """
@@ -303,7 +304,8 @@ def _normal_form(codes: tuple, table, cache: dict, pick, rng) -> dict:
     so each strategy is deterministic and safely memoizable: the cache is
     both the walk's forms and its finished words.  Under the leftmost
     strategy a word missing from the cache is sorted first, when the
-    table has `swaps`, and only a word that does not sort is walked.
+    table has `swaps` (:func:`_sort`, which stores its form), and only a
+    word that does not sort is walked.
     """
     form = cache.get(codes)
     if form is None:
@@ -334,8 +336,9 @@ class FormMemo(dict):
 
     `share` maps None to the memo's one empty form and id(c) to
     {W: {W: c}}, the memo's one form for each one-term value, sorted forms
-    included (see :func:`_shared`).  It lives on the memo, so it never
-    outlives the forms it serves and never holds another memo's Words.
+    included.  Only :func:`_shared` inserts into it.  It lives on the
+    memo, so it never outlives the forms it serves and never holds
+    another memo's Words.
     """
 
     __slots__ = ("share",)
@@ -348,8 +351,9 @@ class FormMemo(dict):
 def _shared(form: dict, share: dict | None) -> dict:
     """The form stored in `share` equal to `form`, which has at most one
     term, storing `form` there when there is none; `form` itself when it
-    has more terms or `share` is None.  :func:`_walk` stores every new
-    form through it.
+    has more terms or `share` is None.  The only code that inserts into a
+    share map: :func:`_walk` stores every summed form and normal word's
+    own form through it, and :func:`_sort` every new sorted form.
 
     One-term forms are looked up by the identity of their coefficient,
     then by their Word.  Keying by id is safe because the map holds the

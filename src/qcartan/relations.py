@@ -189,7 +189,7 @@ def _swap_table(compiled):
     exist but their coefficients are not mutual inverses.
 
     A word whose inverted letter pairs are all such swaps, or an x/xinv or
-    K/Kinv pair, reduces by sorting (:func:`qcartan.normalizer._walk`):
+    K/Kinv pair, reduces by sorting (:func:`qcartan.normalizer._sort`):
     each swap step drops one inversion and multiplies by its coefficient,
     and a cancelling x/xinv or K/Kinv pair drops, for every other letter,
     the two pairs it forms with them, whose coefficients multiply to 1

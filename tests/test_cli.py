@@ -95,6 +95,34 @@ def test_long_powers_in_pair_and_d(capsys):
     assert (code, out) == (0, "(100000) dy*y^99999\n")
 
 
+def _in_full(n: int) -> str:
+    """The decimal digits of n, past the interpreter's int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("q", [(), ("--q", "1")], ids=["exact", "q=1"])
+def test_values_print_in_full(capsys, q):
+    # 2**15000 has 4,516 digits and 2000**2000 6,603, past the 4,300 that
+    # Python converts by default; the limit is back once the value printed
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "normalize", "(2*x)^15000", *q)
+    assert (code, out) == (0, f"({_in_full(2 ** 15000)}) x^15000\n")
+    code, out, _ = run(capsys, "pair", "X^2000", "x^2000", *q)
+    assert (code, out) == (0, _in_full(2000 ** 2000) + "\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_long_number_literal_is_an_input_error(capsys):
+    code, out, err = run(capsys, "normalize", "1" * 5000 + "*x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+
 def test_q_specialization(capsys):
     code, out, _ = run(capsys, "normalize", "y*x", "--q", "2")
     assert code == 0

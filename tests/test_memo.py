@@ -11,15 +11,18 @@ stores their entries, and each operator word's act step images its own
 word.  The last tests pin that equal
 coefficients in a memo are one shared monomial, and that sharing never
 changes a monomial's value; that equal forms of at most one term in the
-normal-form memo are one dict, sorted forms included; and that the sweep's walk consumes the
-list of words it is handed, storing the same forms as a walk on a copy.
+normal-form memo are one dict, sorted forms included, and enter its share
+map only through normalizer._shared; that each word is scanned for
+sorting once; and that the sweep's walk consumes the list of
+words it is handed, storing the same forms as a walk on a copy.
 """
 
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcartan import scalars, words
+from qcartan import normalizer, scalars, words
 from qcartan.calculus import (
     _act_word,
     act,
@@ -37,6 +40,7 @@ from qcartan.normalizer import (
     check_local_confluence,
     multiply,
     normalize,
+    normalize_report,
 )
 from qcartan.parser import parse_element
 from qcartan.relations import (
@@ -372,6 +376,62 @@ def test_equal_sorted_forms_are_one_object():
     first, second = (memo[w] for w in words)
     assert first is second
     assert first == dict(parse_element("q^-2*x*y*z").terms())
+
+
+class SharedOnlyMap(dict):
+    """A share map that only normalizer._shared may insert into."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = 0
+
+    def __setitem__(self, key, value):
+        assert sys._getframe(1).f_code is normalizer._shared.__code__
+        self.stores += 1
+        super().__setitem__(key, value)
+
+    def setdefault(self, key, default=None):
+        assert sys._getframe(1).f_code is normalizer._shared.__code__
+        self.stores += key not in self
+        return super().setdefault(key, default)
+
+
+def test_only_shared_inserts_into_the_share_map():
+    """Sorted, summed and normal words' own forms, and the empty form of
+    a word that vanishes as it sorts, all enter the map through _shared."""
+    table = fresh_table()
+    memo = table.normal_form_cache("leftmost")
+    memo.share = SharedOnlyMap()
+    normalize(parse_element("(x+y+z)^4 + (dy+y+x)^3*(px+z)"
+                            " + dy*x^-1*z*x*dy"), table)
+    assert check_local_confluence(table, 3).passed
+    assert None in memo.share
+    assert memo.share.stores == len(memo.share) > 2
+
+
+@pytest.mark.parametrize("text, words", [
+    ("(px + y)*(x+z)^4", 83),
+    ("px*x^200", 202),
+    # words that do not sort come up as children of several words
+    ("(px+py+pz)^2*(x+y+z)^3", 903),
+])
+def test_each_word_is_scanned_once(monkeypatch, text, words):
+    """A root is sorted by _normal_form and every other word as the walk
+    pushes it, so each distinct word is scanned once, whether it sorts or
+    not: one scan per memo entry."""
+    table = fresh_table()
+    memo = table.normal_form_cache("leftmost")
+    scanned = []
+    sorted_form = normalizer._sorted_form
+
+    def counted(codes, swaps):
+        scanned.append(codes)
+        return sorted_form(codes, swaps)
+
+    monkeypatch.setattr(normalizer, "_sorted_form", counted)
+    e = parse_element(text)
+    assert normalize(e, table) == normalize_report(e, table).output
+    assert len(scanned) == len(memo) == words
 
 
 def test_sweep_walk_consumes_its_roots():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qcartan.normalizer import normalize
@@ -195,6 +197,18 @@ def test_expansion_bound():
     for text in ("(x^100000+y)^15", "(x^100000+y)*" * 10 + "1"):
         with pytest.raises(ValueError, match="over the limit of 1000000"):
             parse_element(text)
+
+
+def test_long_sum_parses_in_linear_time():
+    # 27,000 distinct monomials, such as a long right side in a relation
+    # file: copying the sum for every term it adds took seconds
+    text = " + ".join(f"x^{i}*y^{j}*z^{k}" for i in range(30)
+                      for j in range(30) for k in range(30))
+    start = time.perf_counter()
+    e = parse_element(text)
+    elapsed = time.perf_counter() - start
+    assert len(e) == 27_000
+    assert elapsed < 2.5
 
 
 def test_deep_nesting_is_a_parse_error(capsys):
