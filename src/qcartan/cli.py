@@ -24,7 +24,8 @@ import sys
 from fractions import Fraction
 
 from . import calculus, cartan, duality, hopf
-from .normalizer import MissingRuleError, check_local_confluence, normalize
+from .normalizer import (MAX_SWEEP_LEN, MissingRuleError, check_local_confluence,
+                         check_sweep_length, normalize)
 from .parser import ParseError, parse_element
 from .relations import RelationError, builtin_presentation, load_presentation_file
 from .report import CheckReport
@@ -81,7 +82,7 @@ _CHECKS = {
     "d2": lambda n, s, t: calculus.check_d2(n, t),
     "leibniz": lambda n, s, t: calculus.check_leibniz(n, t),
     "confluence": lambda n, s, t: check_local_confluence(t, max(n, 3), s),
-    "d-expansion": lambda n, s, t: calculus.check_d_expansion(None, n, t),
+    "d-expansion": lambda n, s, t: calculus.check_d_expansion(n, t),
     "omega": lambda n, s, t: calculus.check_omega_tables(n, t),
     "t-real": lambda n, s, t: calculus.check_t_realization(n, t),
     "cartan-tables": lambda n, s, t: cartan.check_cartan_tables(n, t),
@@ -109,6 +110,9 @@ def _cmd_check(args) -> int:
     table = _resolve_table(args)
     suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
     seeds = (args.seed,) if args.seed is not None else DEFAULT_SEEDS
+    if "confluence" in suites:
+        # an overlong sweep is refused before any suite prints a verdict
+        check_sweep_length(max(args.max_degree, 3))
     all_ok = True
     for suite in suites:
         report = CheckReport(suite, tuple(sorted(
@@ -206,8 +210,8 @@ def build_argparser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--max-degree", type=_max_degree, default=3,
                    help="largest degree the suites sweep (default 3); for "
-                   "confluence, the word length: at most 5, and 1 or 2 "
-                   "count as 3")
+                   f"confluence, the word length: at most {MAX_SWEEP_LEN}, "
+                   "and 1 or 2 count as 3")
     p.add_argument("--seed", type=int, default=None,
                    help="run one randomized confluence strategy with this "
                    "seed instead of seeds 1-5")

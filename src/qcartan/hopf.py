@@ -5,10 +5,16 @@ twisted primitive y, the primitive z) and the Lie-generator algebra with
 the group-like K = q**Tx that makes its coproducts finite expressions.
 The duality module builds a third presentation on the same machinery.
 All Hopf-carrying letters have form degree zero, so tensor slots multiply
-and normalize independently with no crossing signs.
+and normalize independently with no crossing signs.  A tensor's linear
+structure is :class:`~qcartan.words.Linear`'s, as an element's is.
 
-Coproduct, counit and antipode extend the letter images over a word one
-signed letter at a time (a power is its letter repeated).  The coproduct
+Coproduct, counit and antipode are one fold, :meth:`HopfPresentation.fold`,
+which extends a map's letter images over a word one signed letter at a
+time (a power is its letter repeated): from the tensor unit with
+:func:`tensor_mul`, from 1 with the scalar product, and from the unit
+element with :func:`~qcartan.normalizer.multiply` right to left.  The
+products are looked up by name each time a fold runs, never held on a
+presentation, so a tracer that rebinds them sees every call.  The coproduct
 and the antipode of each word are computed once per presentation and
 kept in the relation table's "coproduct" and "antipode" memos through
 the one memoized loop, :func:`~qcartan.words.linear_image`, keyed by the
@@ -21,26 +27,29 @@ its own result.  Tensor slots multiply with
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 
 from .scalars import ONE, QScalar
-from .words import (EMPTY_WORD, GENERATORS, Element, Word, add_term,
+from .words import (EMPTY_WORD, GENERATORS, Element, Linear, Word, add_term,
                     canonical_codes, concat, linear_image)
 from .normalizer import multiply, normalize
 from .report import CheckReport, CheckResult, Record
 
 
-class TensorElement:
-    """Linear combination of word tuples (arity 2 or 3), slotwise canonical."""
+class TensorElement(Linear):
+    """Linear combination of word tuples (arity 2 or 3), slotwise canonical.
 
-    __slots__ = ("arity", "_terms")
+    Its linear structure is :class:`~qcartan.words.Linear`'s, between
+    tensors of one arity.
+    """
+
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms=None):
         if arity not in (2, 3):
             raise ValueError("tensor arity must be 2 or 3")
         self.arity = arity
-        self._terms = {}
-        for key, c in (terms or {}).items():
-            add_term(self._terms, key, c)
+        super().__init__(terms)
 
     @classmethod
     def _raw(cls, arity, terms):
@@ -49,46 +58,15 @@ class TensorElement:
         t._terms = terms
         return t
 
+    def _like(self, terms):
+        return TensorElement._raw(self.arity, terms)
+
+    def _kind(self):
+        return TensorElement, self.arity
+
     @classmethod
     def unit(cls, arity: int) -> "TensorElement":
         return cls(arity, {(EMPTY_WORD,) * arity: ONE})
-
-    def terms(self):
-        return self._terms.items()
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.arity == other.arity
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement) or other.arity != self.arity:
-            return NotImplemented
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            add_term(terms, k, c)
-        return TensorElement._raw(self.arity, terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement) or other.arity != self.arity:
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        scalar = scalar if isinstance(scalar, QScalar) else QScalar.rational(scalar)
-        return TensorElement._raw(
-            self.arity, {k: c * scalar for k, c in self._terms.items()} if scalar else {}
-        )
-
-    __rmul__ = __mul__
 
     def __str__(self):
         if not self._terms:
@@ -160,11 +138,12 @@ def map_slot(t: TensorElement, slot: int, fn) -> TensorElement:
 class HopfPresentation(Record):
     """Generator images of coproduct, counit and antipode for one algebra.
 
-    Maps are keyed by signed letter name; the extension is multiplicative
-    for the coproduct and counit and anti-multiplicative for the antipode.
-    An immutable :class:`Record` whose equality and hashing are by
-    identity: memoized coproducts are stored under the presentation
-    object, not under its name.
+    Maps are keyed by signed letter name, and :meth:`fold` extends one of
+    them over a word: multiplicatively for the coproduct and counit,
+    anti-multiplicatively for the antipode.  An immutable
+    :class:`Record` whose equality and hashing are by identity: memoized
+    coproducts are stored under the presentation object, not under its
+    name.
     """
 
     __slots__ = ("name", "letters", "delta", "eps", "antipode_map")
@@ -175,15 +154,20 @@ class HopfPresentation(Record):
                  eps: dict, antipode_map: dict):
         self._fill(name, letters, delta, eps, antipode_map)
 
-    def names(self, word: Word) -> list[str]:
-        """The signed letter names of a word, one per unit power; raises
-        if any letter lies outside the presentation."""
+    def fold(self, word: Word, images: dict, unit, product, reverse=False):
+        """product(...product(unit, images[a1])..., images[an]) over the
+        signed letters a1 ... an of word, one per unit power, taken
+        right to left when reverse is set.  Every letter is checked
+        first; the leftmost one outside the presentation is named."""
         names = [g.name for g in word.letters()]
         for name in names:
             if name not in self.delta:
                 raise ValueError(f"letter {name} is outside the "
                                  f"{self.name} presentation")
-        return names
+        acc = unit
+        for name in reversed(names) if reverse else names:
+            acc = product(acc, images[name])
+        return acc
 
 
 def _coordinate_presentation() -> HopfPresentation:
@@ -256,10 +240,8 @@ def coproduct(alg, e: Element, table) -> TensorElement:
     pres = presentation(alg)
 
     def word_coproduct(word):
-        delta = TensorElement.unit(2)
-        for name in pres.names(word):
-            delta = tensor_mul(delta, pres.delta[name], table)
-        return delta
+        return pres.fold(word, pres.delta, TensorElement.unit(2),
+                         lambda a, b: tensor_mul(a, b, table))
 
     return TensorElement._raw(2, linear_image(
         e._terms, table.memo("coproduct"), word_coproduct, pres))
@@ -270,12 +252,7 @@ def counit(alg, e: Element) -> QScalar:
     pres = presentation(alg)
     total = QScalar.zero()
     for word, coeff in e.terms():
-        value = ONE
-        for name in pres.names(word):
-            value = value * pres.eps[name]
-            if not value:
-                break
-        total = total + coeff * value
+        total = total + coeff * pres.fold(word, pres.eps, ONE, mul)
     return total
 
 
@@ -286,10 +263,8 @@ def antipode(alg, e: Element, table) -> Element:
     pres = presentation(alg)
 
     def word_antipode(word):
-        acc = Element.one()
-        for name in reversed(pres.names(word)):
-            acc = multiply(acc, pres.antipode_map[name], table)
-        return acc
+        return pres.fold(word, pres.antipode_map, Element.one(),
+                         lambda a, b: multiply(a, b, table), reverse=True)
 
     return Element._raw(linear_image(e._terms, table.memo("antipode"),
                                      word_antipode, pres))

@@ -645,6 +645,19 @@ def _divergences(table, words, alternatives) -> tuple:
     return tuple(divergences)
 
 
+# The longest words the confluence sweep takes: it grows about 15-fold
+# per letter (1,146,117 words at length 5 on the builtin table).
+MAX_SWEEP_LEN = 5
+
+
+def check_sweep_length(max_len: int) -> None:
+    """Raise ValueError unless 3 <= max_len <= MAX_SWEEP_LEN."""
+    if max_len < 3:
+        raise ValueError("max_len must be at least 3")
+    if max_len > MAX_SWEEP_LEN:
+        raise ValueError(f"max_len must be at most {MAX_SWEEP_LEN}")
+
+
 def check_local_confluence(
     table, max_len: int, seeds=(1, 2, 3, 4, 5)
 ) -> ConfluenceReport:
@@ -663,14 +676,10 @@ def check_local_confluence(
     reported as a divergence (:func:`_divergences`).
 
     Words whose letter closure hits a pair without a rule are skipped
-    (they cannot be normalized at all).  The sweep grows about 15-fold per
-    letter (1,146,117 words at length 5 on the builtin table), so max_len
-    runs from 3 to 5.
+    (they cannot be normalized at all).  max_len runs from 3 to
+    MAX_SWEEP_LEN (:func:`check_sweep_length`).
     """
-    if max_len < 3:
-        raise ValueError("max_len must be at least 3")
-    if max_len > 5:
-        raise ValueError("max_len must be at most 5")
+    check_sweep_length(max_len)
     # (name, pick, rng) of each strategy compared against leftmost
     alternatives = [("rightmost", _pick_rightmost, None)] + [
         (f"random:{seed}", _pick_random, random.Random(seed))

@@ -20,13 +20,16 @@ every other builder of words splice code tuples through it, and the
 kernel, :func:`make_word` and :func:`concat` skip it where no seam can
 cancel or vanish.  The engine reads a word letter by letter, as the tuple
 it is or through ``word.letters()``: d, the operator words, the Hopf maps
-and the pairing are all defined one letter at a time.  d, the actions,
-the operator words' letter steps, the coproduct and the antipode read
-and fill their memos through one loop, :func:`linear_image`, and its two
-folds, :func:`linear_steps` and :func:`linear_sum`.  The (Generator,
-exponent) factor view serves printing and input only: it is derived from
-the codes when a word is printed, and :func:`make_word` checks written
-powers and expands them to codes.
+(one fold, ``HopfPresentation.fold``) and the pairing are all defined one
+letter at a time.  d, the actions, the operator words' letter steps, the
+coproduct and the antipode read and fill their memos through one loop,
+:func:`linear_image`, and its two folds, :func:`linear_steps` and
+:func:`linear_sum`.  :class:`Linear` is the one sparse linear structure,
+shared by :class:`Element` and the Hopf module's tensors: construction
+without zero coefficients, equality, ``+``, ``-``, negation and scalar
+``*``.  The (Generator, exponent) factor view serves printing and input
+only: it is derived from the codes when a word is printed, and
+:func:`make_word` checks written powers and expands them to codes.
 """
 
 from __future__ import annotations
@@ -320,27 +323,101 @@ def single(name: str, exponent: int = 1) -> Word:
     return w
 
 
-class Element:
-    """A finite linear combination of words with QScalar coefficients.
+class Linear:
+    """A finite linear combination with QScalar coefficients: the one
+    linear structure of :class:`Element` (keyed by words) and
+    :class:`~qcartan.hopf.TensorElement` (keyed by word tuples).
 
-    Canonical: no zero coefficients are stored, equality is map equality.
-    Scalar multiples use ``*``; products of elements need a relation table
-    and live in :mod:`qcartan.normalizer`.
+    Canonical: no zero coefficients are stored, and equality is map
+    equality between combinations of one kind (the class, and for a
+    tensor its arity).  ``+`` and ``-`` take only an operand of the same
+    kind; ``*`` scales by a scalar, and products of two combinations
+    need a relation table.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         self._terms = {}
-        for w, c in (terms or {}).items():
-            if w is not None:
-                add_term(self._terms, w, c)
+        for key, c in (terms or {}).items():
+            if key is not None:
+                add_term(self._terms, key, c)
 
     @classmethod
-    def _raw(cls, terms: dict) -> "Element":
+    def _raw(cls, terms: dict):
+        """Wrap a map already free of zero coefficients."""
         e = cls.__new__(cls)
         e._terms = terms
         return e
+
+    def _like(self, terms: dict):
+        """A combination of self's kind over terms free of zeros."""
+        return self._raw(terms)
+
+    def _kind(self):
+        return type(self)
+
+    def terms(self):
+        return self._terms.items()
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other):
+        return (isinstance(other, Linear) and self._kind() == other._kind()
+                and self._terms == other._terms)
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, Linear) or other._kind() != self._kind():
+            return NotImplemented
+        if not self._terms:
+            return other
+        if not other._terms:
+            return self
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            add_term(terms, key, c)
+        return self._like(terms)
+
+    def __sub__(self, other):
+        if not isinstance(other, Linear):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._terms.items()})
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, Linear):
+            raise TypeError(
+                "products of elements need a relation table; "
+                "use qcartan.normalizer.multiply"
+            )
+        scalar = scalar if isinstance(scalar, QScalar) else QScalar.rational(scalar)
+        if not scalar:
+            return self._like({})
+        return self._like({key: c * scalar for key, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+
+class Element(Linear):
+    """A finite linear combination of words with QScalar coefficients.
+
+    Its linear structure is :class:`Linear`'s.  Products of elements
+    need a relation table and live in :mod:`qcartan.normalizer`.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Element":
@@ -368,29 +445,11 @@ class Element:
 
     # -- queries -----------------------------------------------------
 
-    def terms(self):
-        return self._terms.items()
-
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
 
     def __iter__(self):
         return iter(self._terms.items())
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self._terms.items()))
 
     def coefficient(self, word: Word) -> QScalar:
         return self._terms.get(word, QScalar.zero())
@@ -409,41 +468,6 @@ class Element:
         for w in self._terms:
             out |= w.sectors()
         return out
-
-    # -- linear structure ----------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            add_term(terms, w, c)
-        return Element._raw(terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Element._raw({w: -c for w, c in self._terms.items()})
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, Element):
-            raise TypeError(
-                "products of elements need a relation table; "
-                "use qcartan.normalizer.multiply"
-            )
-        scalar = scalar if isinstance(scalar, QScalar) else QScalar.rational(scalar)
-        if not scalar:
-            return Element._raw({})
-        return Element._raw({w: c * scalar for w, c in self._terms.items()})
-
-    __rmul__ = __mul__
 
     # -- specialization & printing -------------------------------------
 
@@ -481,8 +505,8 @@ def linear_image(terms: dict, memo: dict, image, tag=None) -> dict:
     The engine's one loop for a memoized linear map: each word's image is
     computed once and stored in memo under (tag, w), or under w when tag
     is None; later calls, with these terms or any others holding w, read
-    it from there.  An image is anything with sparse ``_terms``, an
-    Element or a tensor, and the caller wraps the result as one.  A
+    it from there.  An image is a :class:`Linear`, an Element or a
+    tensor, and the caller wraps the result as one.  A
     one-term dict with coefficient ONE returns the image's own terms;
     any other sums c * image with :func:`add_term`.
     """

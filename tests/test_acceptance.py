@@ -95,7 +95,7 @@ def test_criterion_5_d_decompositions():
     """d f = dx px f + dy py f + dz pz f and d f = wx Tx f + wy Ty f +
     wz Tz f on all monomials of degree <= 4, after one-form expansion."""
     start = time.perf_counter()
-    partial = calculus.check_d_expansion(None, 4, TABLE)
+    partial = calculus.check_d_expansion(4, TABLE)
     ok_omega = True
     ts = [parse_element(n) for n in ("Tx", "Ty", "Tz")]
     ws = [calculus.omega_images()[n] for n in ("wx", "wy", "wz")]

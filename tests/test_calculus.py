@@ -198,12 +198,12 @@ def test_check_omega_tables_passes(table):
 
 
 def test_d_expansion_on_generator(table):
-    report = check_d_expansion(parse_element("x"), 1, table)
-    assert report.passed
+    rows = {r.name: r for r in check_d_expansion(1, table).results}
+    assert rows["d-expansion x"].passed
 
 
 def test_d_expansion_sweep(table):
-    report = check_d_expansion(None, 4, table)
+    report = check_d_expansion(4, table)
     assert report.passed, report
     assert len(report.results) == len(coordinate_monomials(4))
 

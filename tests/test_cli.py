@@ -211,6 +211,16 @@ def test_expression_error_line(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_check_all_refuses_overlong_sweep_before_any_suite(capsys, fmt):
+    # no suite may print a verdict before the confluence length is refused
+    code, out, err = run(capsys, "check", "all", "--max-degree", "6",
+                         "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_len must be at most 5\n"
+
+
 @pytest.mark.parametrize("rhs, message", [
     ("y . z + (x + y)^16", "exceeds the limit of 50000 terms"),
     ("y . z + " + "(" * 51 + "x" + ")" * 51, "nested deeper than 50"),

@@ -123,6 +123,13 @@ def test_letter_outside_presentation_rejected(table):
     for text in ("z*Tx", "x*Tx"):
         with pytest.raises(ValueError, match="letter Tx is outside the A"):
             counit("A", parse_element(text))
+    # of two letters outside, the leftmost is named, also by the antipode,
+    # which folds its images right to left
+    e = parse_element("z*dx*Tx")
+    for fn in (lambda: counit("A", e), lambda: antipode("A", e, table),
+               lambda: coproduct("A", e, table)):
+        with pytest.raises(ValueError, match="letter dx is outside the A"):
+            fn()
 
 
 def fold_coproduct(pres, names, table):
@@ -174,6 +181,25 @@ def test_tensor_addition_cancels():
     assert (t - t)._terms == {}
     assert (t + TensorElement(2, {k: -c for k, c in t.terms()}))._terms == {}
     assert (t - t2("z", "1"))._terms == t2("x", "y")._terms
+
+
+def test_tensor_linear_structure_keeps_kind_and_arity():
+    t = t2("x", "y") + 2 * t2("z", "1")
+    assert -t == TensorElement(2, {k: -c for k, c in t.terms()})
+    assert (-t).arity == 2 and (t + (-t)).is_zero()
+    x = parse_element("x")
+    with pytest.raises(TypeError, match="products of elements need a "
+                       "relation table"):
+        t * x
+    t3 = tensor(x, x, x)
+    for left, right in ((x, t), (t, x), (t, t3), (t3, t)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    assert TensorElement(2) != TensorElement(3)
+    assert TensorElement(2) == TensorElement(2) and not TensorElement(3)
+    assert t != x and x != t
 
 
 def test_tensor_with_zero_factor_is_zero():
